@@ -8,12 +8,9 @@
  *
  *  1. A cancel-heavy schedule/cancel/fire mix (the watchdog/timeout
  *     pattern: a ring of outstanding timers that are mostly re-armed
- *     before they fire), run against both the production EventQueue and
- *     an in-bench replica of the pre-slot-map storage (linear callback
- *     scan). The acceptance bar for the storage rewrite is >= 5x on the
- *     1M-event run.
+ *     before they fire).
  *  2. A pure schedule/fire chain mix (the simulator's steady-state
- *     pattern) for dispatch-throughput parity.
+ *     pattern).
  *  3. A full fig11-style app sweep timed end-to-end through the parallel
  *     ExperimentRunner — the macro number that the micro numbers exist
  *     to explain.
@@ -23,10 +20,8 @@
  *     every run — parallel mode is only allowed to be faster, never
  *     different.
  *
- * Both queue implementations must produce byte-identical dispatch
- * sequences (same (time, priority, seq) semantics); each workload folds
- * its dispatch order into a checksum and the bench aborts on mismatch.
- * The checksums are deterministic for a given --events value, so CI can
+ * Each micro workload folds its dispatch order into a checksum. The
+ * checksums are deterministic for a given --events value, so CI can
  * golden-check them while the timings float.
  *
  * Usage: perf_sim_core [--events=N] [--jobs=N] [--out=PATH]
@@ -43,7 +38,6 @@
 #include <cstring>
 #include <functional>
 #include <memory>
-#include <queue>
 #include <string>
 #include <thread>
 #include <vector>
@@ -60,91 +54,6 @@ using namespace dvs;
 using namespace dvs::bench;
 
 namespace {
-
-/**
- * Replica of the pre-rewrite EventQueue storage: heap of (time, prio,
- * seq) entries plus a *linear-scan* callback vector, with cancelled
- * entries skipped lazily at dispatch. Kept here (not in src/) purely as
- * the measured baseline; semantics are identical to the production queue.
- */
-class LegacyEventQueue
-{
-  public:
-    using Callback = std::function<void()>;
-
-    Time now() const { return now_; }
-
-    EventId schedule(Time when, Callback fn,
-                     EventPriority prio = EventPriority::kDefault)
-    {
-        EventId id = next_id_++;
-        heap_.push(Entry{when, static_cast<int>(prio), next_seq_++, id});
-        callbacks_.emplace_back(id, std::move(fn));
-        return id;
-    }
-
-    bool cancel(EventId id)
-    {
-        for (auto &kv : callbacks_) {
-            if (kv.first == id && kv.second) {
-                kv.second = nullptr;
-                return true;
-            }
-        }
-        return false;
-    }
-
-    std::uint64_t run_until(Time horizon, bool advance_to_horizon = true)
-    {
-        std::uint64_t n = 0;
-        while (!heap_.empty() && heap_.top().when <= horizon) {
-            Entry e = heap_.top();
-            heap_.pop();
-            Callback fn;
-            for (auto it = callbacks_.begin(); it != callbacks_.end();
-                 ++it) {
-                if (it->first == e.id) {
-                    fn = std::move(it->second);
-                    callbacks_.erase(it);
-                    break;
-                }
-            }
-            if (!fn)
-                continue; // cancelled
-            now_ = e.when;
-            ++n;
-            fn();
-        }
-        if (advance_to_horizon && horizon != kTimeMax && now_ < horizon)
-            now_ = horizon;
-        return n;
-    }
-
-    std::uint64_t run() { return run_until(kTimeMax, false); }
-
-  private:
-    struct Entry {
-        Time when;
-        int prio;
-        std::uint64_t seq;
-        EventId id;
-
-        bool operator>(const Entry &o) const
-        {
-            if (when != o.when)
-                return when > o.when;
-            if (prio != o.prio)
-                return prio > o.prio;
-            return seq > o.seq;
-        }
-    };
-
-    std::priority_queue<Entry, std::vector<Entry>, std::greater<>> heap_;
-    std::vector<std::pair<EventId, Callback>> callbacks_;
-    Time now_ = 0;
-    std::uint64_t next_seq_ = 0;
-    std::uint64_t next_id_ = 1;
-};
 
 /** Deterministic splitmix-style stream so runs are comparable. */
 struct Lcg {
@@ -171,11 +80,11 @@ ms_since(std::chrono::steady_clock::time_point t0)
  * Cancel-heavy mix: a ring of `window` outstanding timers; each step
  * re-arms a pseudo-random ring slot (cancelling whatever was pending
  * there) and periodically drains a short horizon. Checksum folds the
- * dispatch order so both implementations can be cross-checked.
+ * dispatch order.
  */
-template <class Queue>
 std::uint64_t
-cancel_heavy_mix(Queue &q, int events, int window, std::uint64_t &fired)
+cancel_heavy_mix(EventQueue &q, int events, int window,
+                 std::uint64_t &fired)
 {
     std::vector<EventId> ring(std::size_t(window), 0);
     std::uint64_t checksum = 0xcbf29ce484222325ULL;
@@ -204,9 +113,8 @@ cancel_heavy_mix(Queue &q, int events, int window, std::uint64_t &fired)
  * Steady-state chain mix: `width` self-rescheduling chains (each fired
  * event schedules its successor), the simulator's dominant pattern.
  */
-template <class Queue>
 std::uint64_t
-chain_mix(Queue &q, int events, int width, std::uint64_t &fired)
+chain_mix(EventQueue &q, int events, int width, std::uint64_t &fired)
 {
     std::uint64_t checksum = 0xcbf29ce484222325ULL;
     std::uint64_t budget = std::uint64_t(events);
@@ -385,47 +293,21 @@ main(int argc, char **argv)
     print_section("Simulator-core performance record");
     std::printf("events per micro workload: %d\n\n", events);
 
-    // ---- cancel-heavy mix: production queue vs legacy replica ----------
-    std::uint64_t fired_new = 0, fired_legacy = 0;
-
+    // ---- cancel-heavy mix ----------------------------------------------
+    std::uint64_t fired = 0;
     auto t0 = std::chrono::steady_clock::now();
-    EventQueue q_new;
-    const std::uint64_t sum_new =
-        cancel_heavy_mix(q_new, events, window, fired_new);
-    const double cancel_new_ms = ms_since(t0);
-
-    t0 = std::chrono::steady_clock::now();
-    LegacyEventQueue q_old;
-    const std::uint64_t sum_legacy =
-        cancel_heavy_mix(q_old, events, window, fired_legacy);
-    const double cancel_legacy_ms = ms_since(t0);
-
-    if (sum_new != sum_legacy || fired_new != fired_legacy) {
-        fatal("dispatch order diverged between storage implementations: "
-              "%016llx (%llu fired) vs %016llx (%llu fired)",
-              (unsigned long long)sum_new, (unsigned long long)fired_new,
-              (unsigned long long)sum_legacy,
-              (unsigned long long)fired_legacy);
-    }
-    const double speedup = cancel_legacy_ms / cancel_new_ms;
+    EventQueue q_cancel;
+    const std::uint64_t cancel_sum =
+        cancel_heavy_mix(q_cancel, events, window, fired);
+    const double cancel_ms = ms_since(t0);
 
     // ---- steady-state chain mix ----------------------------------------
-    std::uint64_t chain_fired_new = 0, chain_fired_legacy = 0;
-
+    std::uint64_t chain_fired = 0;
     t0 = std::chrono::steady_clock::now();
-    EventQueue q_new2;
-    const std::uint64_t chain_sum_new =
-        chain_mix(q_new2, events, 256, chain_fired_new);
-    const double chain_new_ms = ms_since(t0);
-
-    t0 = std::chrono::steady_clock::now();
-    LegacyEventQueue q_old2;
-    const std::uint64_t chain_sum_legacy =
-        chain_mix(q_old2, events, 256, chain_fired_legacy);
-    const double chain_legacy_ms = ms_since(t0);
-
-    if (chain_sum_new != chain_sum_legacy)
-        fatal("chain-mix dispatch order diverged");
+    EventQueue q_chain;
+    const std::uint64_t chain_sum =
+        chain_mix(q_chain, events, 256, chain_fired);
+    const double chain_ms = ms_since(t0);
 
     // ---- macro: fig11 sweep through the ExperimentRunner ---------------
     const std::vector<Experiment> points = fig11_sweep_points();
@@ -521,15 +403,11 @@ main(int argc, char **argv)
     // what runs unconditionally; the timing is a capability record).
     const unsigned mix_cores = std::thread::hardware_concurrency();
 
-    TableReporter table({"workload", "slot-map (ms)", "linear-scan (ms)",
-                         "speedup"});
-    table.add_row({"cancel-heavy mix", TableReporter::num(cancel_new_ms, 1),
-                   TableReporter::num(cancel_legacy_ms, 1),
-                   TableReporter::num(speedup, 1) + "x"});
-    table.add_row({"chain mix", TableReporter::num(chain_new_ms, 1),
-                   TableReporter::num(chain_legacy_ms, 1),
-                   TableReporter::num(chain_legacy_ms / chain_new_ms, 1) +
-                       "x"});
+    TableReporter table({"workload", "wall (ms)", "ns/schedule"});
+    table.add_row({"cancel-heavy mix", TableReporter::num(cancel_ms, 1),
+                   TableReporter::num(1e6 * cancel_ms / double(events), 1)});
+    table.add_row({"chain mix", TableReporter::num(chain_ms, 1),
+                   TableReporter::num(1e6 * chain_ms / double(events), 1)});
     table.print();
 
     // Time-valued: deliberately does NOT match the golden grep (which
@@ -553,12 +431,12 @@ main(int argc, char **argv)
     // check; everything time-valued above floats run to run.
     std::printf("dispatch checksum (cancel-heavy): %016llx after %llu "
                 "events\n",
-                (unsigned long long)sum_new,
-                (unsigned long long)fired_new);
+                (unsigned long long)cancel_sum,
+                (unsigned long long)fired);
     std::printf("dispatch checksum (chain):        %016llx after %llu "
                 "events\n",
-                (unsigned long long)chain_sum_new,
-                (unsigned long long)chain_fired_new);
+                (unsigned long long)chain_sum,
+                (unsigned long long)chain_fired);
     std::printf("fig11 sweep fdps sum:             %.6f over %zu runs\n",
                 sweep_fdps, reports.size());
 
@@ -569,28 +447,21 @@ main(int argc, char **argv)
         char jbuf[512];
         std::snprintf(jbuf, sizeof(jbuf),
                       "{\n"
-                      "    \"slot_map_ms\": %.3f,\n"
-                      "    \"linear_scan_ms\": %.3f,\n"
-                      "    \"speedup\": %.2f,\n"
+                      "    \"wall_ms\": %.3f,\n"
                       "    \"dispatched\": %llu,\n"
                       "    \"checksum\": \"%016llx\"\n"
                       "  }",
-                      cancel_new_ms, cancel_legacy_ms, speedup,
-                      (unsigned long long)fired_new,
-                      (unsigned long long)sum_new);
+                      cancel_ms, (unsigned long long)fired,
+                      (unsigned long long)cancel_sum);
         record.raw("cancel_heavy", jbuf);
         std::snprintf(jbuf, sizeof(jbuf),
                       "{\n"
-                      "    \"slot_map_ms\": %.3f,\n"
-                      "    \"linear_scan_ms\": %.3f,\n"
-                      "    \"speedup\": %.2f,\n"
+                      "    \"wall_ms\": %.3f,\n"
                       "    \"dispatched\": %llu,\n"
                       "    \"checksum\": \"%016llx\"\n"
                       "  }",
-                      chain_new_ms, chain_legacy_ms,
-                      chain_legacy_ms / chain_new_ms,
-                      (unsigned long long)chain_fired_new,
-                      (unsigned long long)chain_sum_new);
+                      chain_ms, (unsigned long long)chain_fired,
+                      (unsigned long long)chain_sum);
         record.raw("chain", jbuf);
         std::snprintf(jbuf, sizeof(jbuf),
                       "{\n"

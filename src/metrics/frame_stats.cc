@@ -16,7 +16,7 @@ FrameStats::FrameStats(Producer &producer, Panel &panel, int pipeline_depth)
 }
 
 bool
-FrameStats::content_due(Time t) const
+FrameStats::content_due(Time t)
 {
     // Content is due at refresh t when some segment's present schedule
     // says more frames should have been shown than actually were, and
@@ -25,9 +25,26 @@ FrameStats::content_due(Time t) const
     // behind, or DTV's drop elasticity) were visible as repeats when
     // they were missed; they must not keep counting after the segment's
     // window closes.
-    const std::size_t n = producer_.scenario().size();
-    for (std::size_t i = 0; i < n; ++i) {
-        const SegmentState &st = producer_.segment_state(int(i));
+    //
+    // Only segments up to the producer's current one can be anchored.
+    // A segment before it is frozen (anchor, period, total_slots and
+    // started no longer change), so once it was never anchored, or its
+    // window has closed with every started frame presented, it is never
+    // due again: refresh times only grow. The cursor retires such
+    // segments from the front, keeping the scan to the live ones.
+    const int current = producer_.current_segment();
+    for (; int(due_cursor_) < current; ++due_cursor_) {
+        const SegmentState &st = producer_.segment_state(int(due_cursor_));
+        if (st.anchor == kTimeNone)
+            continue;
+        const Time window_end = st.anchor +
+                                Time(pipeline_depth_) * st.period +
+                                (st.total_slots - 1) * st.period;
+        if (t <= window_end || seg_presented_[due_cursor_] < st.started)
+            break;
+    }
+    for (int i = int(due_cursor_); i <= current; ++i) {
+        const SegmentState &st = producer_.segment_state(i);
         if (st.anchor == kTimeNone)
             continue; // never started producing
         const Time lag = Time(pipeline_depth_) * st.period;
@@ -36,7 +53,7 @@ FrameStats::content_due(Time t) const
             continue;
         const std::int64_t expected = std::min<std::int64_t>(
             (t - first) / st.period + 1, st.total_slots);
-        const std::int64_t presented = seg_presented_[i];
+        const std::int64_t presented = seg_presented_[std::size_t(i)];
         if (presented >= expected)
             continue;
         const Time window_end = first + (st.total_slots - 1) * st.period;

@@ -107,7 +107,7 @@ class FrameStats
 
   private:
     void on_present(const PresentEvent &ev);
-    bool content_due(Time t) const;
+    bool content_due(Time t);
 
     Producer &producer_;
     int pipeline_depth_;
@@ -121,6 +121,8 @@ class FrameStats
     std::vector<RefreshLog> refreshes_;
     std::vector<ShownFrame> shown_;
     std::vector<std::int64_t> seg_presented_;
+    // Segments below this index can never be due again (content_due).
+    std::size_t due_cursor_ = 0;
 };
 
 } // namespace dvs

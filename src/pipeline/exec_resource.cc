@@ -10,7 +10,7 @@ ExecResource::ExecResource(Simulator &sim, std::string name)
 }
 
 Time
-ExecResource::run(Time duration, std::function<void()> on_done)
+ExecResource::run(Time duration, EventQueue::Callback on_done)
 {
     if (duration < 0)
         panic("negative work duration on %s", name_.c_str());
@@ -36,16 +36,29 @@ ExecResource::run(Time duration, std::function<void()> on_done)
     // which context submitted the work (a vsync delivery on the shared
     // lane kicks a surface's UI stage; the completion still runs on the
     // surface's lane).
+    done_fifo_.push_back(std::move(on_done));
     LaneScope scope(lane_);
-    sim_.events().schedule(
-        end,
-        [this, fn = std::move(on_done)] {
-            fn();
-            for (auto &listener : done_listeners_)
-                listener();
-        },
-        EventPriority::kPipeline);
+    sim_.events().schedule(end, [this] { complete(); },
+                           EventPriority::kPipeline);
     return start;
+}
+
+void
+ExecResource::complete()
+{
+    // Moved out first: on_done may submit more work, growing the FIFO.
+    EventQueue::Callback fn = std::move(done_fifo_[done_head_++]);
+    if (done_head_ == done_fifo_.size()) {
+        done_fifo_.clear();
+        done_head_ = 0;
+    } else if (done_head_ * 2 >= done_fifo_.size()) {
+        done_fifo_.erase(done_fifo_.begin(),
+                         done_fifo_.begin() + std::ptrdiff_t(done_head_));
+        done_head_ = 0;
+    }
+    fn();
+    for (auto &listener : done_listeners_)
+        listener();
 }
 
 } // namespace dvs

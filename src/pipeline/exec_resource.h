@@ -42,7 +42,7 @@ class ExecResource
      * current work finishes). @p on_done runs at completion.
      * @return the work's start time.
      */
-    Time run(Time duration, std::function<void()> on_done);
+    Time run(Time duration, EventQueue::Callback on_done);
 
     /**
      * Transform a job's duration before execution. Transforms chain in
@@ -97,11 +97,21 @@ class ExecResource
     LaneId lane() const { return lane_; }
 
   private:
+    void complete();
+
     Simulator &sim_;
     std::string name_;
     std::vector<CostTransform> cost_transforms_;
     std::vector<UsageListener> usage_listeners_;
     std::vector<std::function<void()>> done_listeners_;
+    // on_done of every submitted, unfinished job, in submission order.
+    // A serialized resource finishes jobs in that order (end times never
+    // decrease; equal ends dispatch by sequence number), so a completion
+    // event only needs `this`: it pops the front. Consumed entries below
+    // done_head_ are dropped when the FIFO drains or reaches half full,
+    // keeping the vector's capacity.
+    std::vector<EventQueue::Callback> done_fifo_;
+    std::size_t done_head_ = 0;
     Time busy_until_ = 0;
     Time total_busy_ = 0;
     std::uint64_t jobs_ = 0;

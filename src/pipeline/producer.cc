@@ -254,7 +254,7 @@ void
 Producer::enqueue_render(std::uint64_t id)
 {
     records_[id].render_ready = sim_.now();
-    pending_render_.insert(id);
+    pending_render_.push_back(id);
     pump_render();
 }
 
@@ -263,19 +263,20 @@ Producer::pump_render()
 {
     // Renders run strictly in frame order: frame N+1 may be ready (its
     // UI chained ahead) while frame N still waits for its VSync-rs edge.
-    auto it = pending_render_.find(next_render_id_);
+    const std::uint64_t id = next_render_id_;
+    auto it = std::find(pending_render_.begin(), pending_render_.end(), id);
     if (it == pending_render_.end() || !render_thread_.idle())
         return;
     FrameBuffer *buf = queue_.try_dequeue(sim_.now());
     if (!buf) {
         // Record the stall start (forensics: queue-stuffing evidence).
-        FrameRecord &stalled = records_[*it];
+        FrameRecord &stalled = records_[id];
         if (stalled.buffer_stall_start == kTimeNone)
             stalled.buffer_stall_start = sim_.now();
         return; // resumed by on_slot_free
     }
-    const std::uint64_t id = *it;
-    pending_render_.erase(it);
+    *it = pending_render_.back();
+    pending_render_.pop_back();
     ++next_render_id_;
     FrameRecord &rec = records_[id];
     rec.render_start = render_thread_.run(

@@ -26,10 +26,10 @@
 #define DVS_SIM_EVENT_QUEUE_H
 
 #include <cstdint>
-#include <functional>
 #include <unordered_map>
 #include <vector>
 
+#include "sim/inline_function.h"
 #include "sim/lane.h"
 #include "sim/time.h"
 
@@ -68,7 +68,11 @@ using EventId = std::uint64_t;
 class EventQueue
 {
   public:
-    using Callback = std::function<void()>;
+    /**
+     * Event action. Captures up to 48 bytes are stored inline in the
+     * callback slot, so scheduling one allocates nothing.
+     */
+    using Callback = InlineFunction<void()>;
 
     EventQueue() = default;
     EventQueue(const EventQueue &) = delete;

@@ -24,8 +24,8 @@
 #define DVS_SIM_LANE_H
 
 #include <cstdint>
-#include <functional>
 
+#include "sim/inline_function.h"
 #include "sim/time.h"
 
 namespace dvs {
@@ -101,7 +101,7 @@ class LaneScope
 // lane threads never mutate shared structures mid-window.
 
 EventId lane_intercept_schedule(LaneExecContext &ctx, Time when,
-                                std::function<void()> fn, int prio);
+                                InlineFunction<void()> fn, int prio);
 bool lane_intercept_cancel(LaneExecContext &ctx, EventId id);
 
 /**
@@ -109,7 +109,7 @@ bool lane_intercept_cancel(LaneExecContext &ctx, EventId id);
  * request) to the next barrier, where it is applied in the canonical
  * serial dispatch order. Only callable when current_lane_ctx() != null.
  */
-void lane_defer_port(LaneExecContext &ctx, std::function<void()> op);
+void lane_defer_port(LaneExecContext &ctx, InlineFunction<void()> op);
 
 } // namespace dvs
 

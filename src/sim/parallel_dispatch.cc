@@ -13,7 +13,7 @@ namespace dvs {
 
 EventId
 lane_intercept_schedule(LaneExecContext &ctx, Time when,
-                        std::function<void()> fn, int prio)
+                        InlineFunction<void()> fn, int prio)
 {
     return ctx.intercept_schedule(when, std::move(fn), prio);
 }
@@ -25,7 +25,7 @@ lane_intercept_cancel(LaneExecContext &ctx, EventId id)
 }
 
 void
-lane_defer_port(LaneExecContext &ctx, std::function<void()> op)
+lane_defer_port(LaneExecContext &ctx, InlineFunction<void()> op)
 {
     ctx.ports.push_back(std::move(op));
 }

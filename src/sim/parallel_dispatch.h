@@ -96,7 +96,7 @@ class LaneExecContext
     std::vector<BucketEv> bucket;
     std::vector<Emit> emits;
     std::vector<Rec> log;
-    std::vector<std::function<void()>> ports;
+    std::vector<InlineFunction<void()>> ports;
     std::vector<EventId> deferred_cancels;
     std::uint64_t prov_counter = 0; ///< never reset: handles stay unique
     std::uint64_t window_epoch = 0; ///< dispatcher epoch of last window

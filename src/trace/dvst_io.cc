@@ -1,39 +1,40 @@
 #include "trace/dvst_io.h"
 
+#include <array>
 #include <cstring>
 
 namespace dvs {
 
 namespace {
 
-/** Lazily built reflected CRC-32 table (polynomial 0xEDB88320). */
-const std::uint32_t *
-crc_table()
+/**
+ * Reflected CRC-32 table (polynomial 0xEDB88320), constant-initialized so
+ * concurrent first use from several threads needs no synchronization.
+ */
+constexpr std::array<std::uint32_t, 256>
+make_crc_table()
 {
-    static std::uint32_t table[256];
-    static bool built = false;
-    if (!built) {
-        for (std::uint32_t i = 0; i < 256; ++i) {
-            std::uint32_t c = i;
-            for (int k = 0; k < 8; ++k)
-                c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-            table[i] = c;
-        }
-        built = true;
+    std::array<std::uint32_t, 256> table{};
+    for (std::uint32_t i = 0; i < 256; ++i) {
+        std::uint32_t c = i;
+        for (int k = 0; k < 8; ++k)
+            c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+        table[i] = c;
     }
     return table;
 }
+
+constexpr std::array<std::uint32_t, 256> kCrcTable = make_crc_table();
 
 } // namespace
 
 std::uint32_t
 dvst_crc32(const void *data, std::size_t n)
 {
-    const std::uint32_t *table = crc_table();
     const unsigned char *p = static_cast<const unsigned char *>(data);
     std::uint32_t crc = 0xFFFFFFFFu;
     for (std::size_t i = 0; i < n; ++i)
-        crc = table[(crc ^ p[i]) & 0xFF] ^ (crc >> 8);
+        crc = kCrcTable[(crc ^ p[i]) & 0xFF] ^ (crc >> 8);
     return crc ^ 0xFFFFFFFFu;
 }
 

@@ -1,5 +1,7 @@
 #include "vsyncsrc/vsync_distributor.h"
 
+#include <algorithm>
+
 #include "sim/lane.h"
 #include "sim/logging.h"
 
@@ -54,28 +56,53 @@ VsyncDistributor::pending(VsyncChannel ch) const
     return pending_[int(ch)].size();
 }
 
+std::uint32_t
+VsyncDistributor::acquire_batch()
+{
+    if (!free_batches_.empty()) {
+        const std::uint32_t b = free_batches_.back();
+        free_batches_.pop_back();
+        return b;
+    }
+    batches_.emplace_back();
+    return std::uint32_t(batches_.size() - 1);
+}
+
+void
+VsyncDistributor::deliver(const SwVsync &sw, std::uint32_t batch)
+{
+    for (std::size_t k = 0; k < batches_[batch].size(); ++k)
+        batches_[batch][k].fn(sw);
+    batches_[batch].clear();
+    // The free list is shared state: a per-lane delivery running inside
+    // a parallel lane window returns its slot at the barrier.
+    if (LaneExecContext *ctx = current_lane_ctx()) {
+        lane_defer_port(*ctx,
+                        [this, batch] { free_batches_.push_back(batch); });
+        return;
+    }
+    free_batches_.push_back(batch);
+}
+
 void
 VsyncDistributor::on_edge(const VsyncEdge &edge)
 {
     model_.add_sample(edge.timestamp);
 
     for (int ch = 0; ch < kNumVsyncChannels; ++ch) {
-        if (pending_[ch].empty())
+        std::vector<Pending> &requests = pending_[ch];
+        if (requests.empty())
             continue;
         // Snapshot and clear: callbacks requested during delivery belong
         // to the next edge.
-        std::vector<Pending> batch;
-        batch.swap(pending_[ch]);
         const Time deliver_at = edge.timestamp + offsets_[ch];
+        const SwVsync sw{edge.timestamp, deliver_at, edge.index,
+                         edge.rate_hz};
         if (!per_lane_delivery_) {
+            const std::uint32_t b = acquire_batch();
+            batches_[b].swap(requests); // requests takes the spare vector
             sim_.events().schedule(
-                deliver_at,
-                [edge, deliver_at, batch = std::move(batch)] {
-                    SwVsync sw{edge.timestamp, deliver_at, edge.index,
-                               edge.rate_hz};
-                    for (const auto &p : batch)
-                        p.fn(sw);
-                },
+                deliver_at, [this, sw, b] { deliver(sw, b); },
                 EventPriority::kVsyncDist);
             continue;
         }
@@ -83,31 +110,24 @@ VsyncDistributor::on_edge(const VsyncEdge &edge)
         // order of first request, each tagged with its lane so the
         // parallel dispatcher can run the surfaces' frame starts
         // concurrently. Request order is preserved within a lane.
-        std::vector<LaneId> order;
-        for (const Pending &p : batch) {
-            bool seen = false;
-            for (LaneId l : order)
-                seen = seen || l == p.lane;
-            if (!seen)
-                order.push_back(p.lane);
+        lane_order_.clear();
+        for (const Pending &p : requests) {
+            if (std::find(lane_order_.begin(), lane_order_.end(),
+                          p.lane) == lane_order_.end())
+                lane_order_.push_back(p.lane);
         }
-        for (LaneId lane : order) {
-            std::vector<Callback> fns;
-            for (Pending &p : batch) {
+        for (LaneId lane : lane_order_) {
+            const std::uint32_t b = acquire_batch();
+            for (Pending &p : requests) {
                 if (p.lane == lane)
-                    fns.push_back(std::move(p.fn));
+                    batches_[b].push_back(std::move(p));
             }
             LaneScope scope(lane);
             sim_.events().schedule(
-                deliver_at,
-                [edge, deliver_at, fns = std::move(fns)] {
-                    SwVsync sw{edge.timestamp, deliver_at, edge.index,
-                               edge.rate_hz};
-                    for (const auto &fn : fns)
-                        fn(sw);
-                },
+                deliver_at, [this, sw, b] { deliver(sw, b); },
                 EventPriority::kVsyncDist);
         }
+        requests.clear();
     }
 }
 

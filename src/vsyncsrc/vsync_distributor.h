@@ -14,10 +14,10 @@
 
 #include <array>
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "display/hw_vsync.h"
+#include "sim/inline_function.h"
 #include "sim/lane.h"
 #include "sim/simulator.h"
 #include "vsyncsrc/vsync_model.h"
@@ -47,7 +47,7 @@ struct SwVsync {
 class VsyncDistributor
 {
   public:
-    using Callback = std::function<void(const SwVsync &)>;
+    using Callback = InlineFunction<void(const SwVsync &)>;
 
     VsyncDistributor(Simulator &sim, HwVsyncGenerator &hw);
 
@@ -92,11 +92,20 @@ class VsyncDistributor
     };
 
     void on_edge(const VsyncEdge &edge);
+    std::uint32_t acquire_batch();
+    void deliver(const SwVsync &sw, std::uint32_t batch);
 
     Simulator &sim_;
     VsyncModel model_;
     std::array<Time, kNumVsyncChannels> offsets_{};
     std::array<std::vector<Pending>, kNumVsyncChannels> pending_;
+    // Delivery batches in flight, by slot. A delivery event carries only
+    // its slot index; once delivered, the slot is cleared (keeping its
+    // capacity) and returned to free_batches_, so steady-state edges
+    // reuse the same vectors instead of allocating new ones.
+    std::vector<std::vector<Pending>> batches_;
+    std::vector<std::uint32_t> free_batches_;
+    std::vector<LaneId> lane_order_; ///< per-lane fan-out scratch
     bool per_lane_delivery_ = false;
 };
 

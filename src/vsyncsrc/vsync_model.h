@@ -15,7 +15,7 @@
 #define DVS_VSYNCSRC_VSYNC_MODEL_H
 
 #include <cstdint>
-#include <deque>
+#include <vector>
 
 #include "sim/time.h"
 
@@ -71,11 +71,23 @@ class VsyncModel
     std::uint64_t samples() const { return n_samples_; }
 
   private:
+    void clear_window()
+    {
+        head_ = 0;
+        count_ = 0;
+        sum_ = 0;
+    }
+
     Time nominal_period_;
     Time period_;
     Time last_edge_ = kTimeNone;
-    int window_;
-    std::deque<Time> recent_;
+    // The last `window` per-edge deltas as a fixed ring with a running
+    // sum: adding a sample is O(1), and integer sums are exact, so the
+    // estimate is the same `sum / count` a full re-summation gives.
+    std::vector<Time> ring_;
+    std::size_t head_ = 0;  ///< oldest delta
+    std::size_t count_ = 0; ///< deltas in the ring
+    Time sum_ = 0;          ///< sum of the deltas in the ring
     std::uint64_t n_samples_ = 0;
 };
 

@@ -170,6 +170,13 @@ TEST(DvstIo, CountIsBoundedByRemainingPayload)
     EXPECT_FALSE(r.ok());
 }
 
+TEST(DvstIo, Crc32MatchesStandardCheckValue)
+{
+    // CRC-32/ISO-HDLC check value; pins the table the file format uses.
+    EXPECT_EQ(dvst_crc32("123456789", 9), 0xCBF43926u);
+    EXPECT_EQ(dvst_crc32("", 0), 0u);
+}
+
 // ----- capture round trips ------------------------------------------------
 
 TEST(Capture, SingleSessionRoundTripsThroughBytes)

@@ -1,12 +1,15 @@
 /**
  * @file
- * Unit tests for the deterministic event queue.
+ * Unit tests for the deterministic event queue and its inline-storage
+ * event callables.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <memory>
+#include <utility>
 #include <vector>
 
 #include "sim/event_queue.h"
@@ -292,4 +295,123 @@ TEST(EventQueue, ManyEventsStressOrdering)
     q.run();
     EXPECT_TRUE(monotonic);
     EXPECT_EQ(q.dispatched(), 5000u);
+}
+
+// ----- event callables (InlineFunction) -------------------------------------
+
+namespace {
+
+/**
+ * Capture that counts its live instances and calls: every instance
+ * constructed (including by move) must be destroyed exactly once, so
+ * `alive` returns to zero, never below, once the callable is gone.
+ */
+struct Probe {
+    int *alive;
+    int *calls;
+
+    Probe(int *a, int *c) : alive(a), calls(c) { ++*alive; }
+    Probe(const Probe &o) : alive(o.alive), calls(o.calls) { ++*alive; }
+    Probe(Probe &&o) noexcept : alive(o.alive), calls(o.calls) { ++*alive; }
+    ~Probe() { --*alive; }
+
+    void operator()() const { ++*calls; }
+};
+
+/** A capture too large for the inline buffer. */
+struct BigProbe {
+    Probe probe;
+    char pad[256] = {};
+
+    void operator()() const { probe(); }
+};
+
+} // namespace
+
+TEST(InlineFunction, SmallCapturesAreInlineLargeOnesUseTheHeap)
+{
+    using Fn = EventQueue::Callback;
+    struct ThreePointers {
+        void *a, *b, *c;
+        void operator()() const {}
+    };
+    static_assert(Fn::stored_inline<Probe>);
+    static_assert(Fn::stored_inline<ThreePointers>);
+    static_assert(!Fn::stored_inline<BigProbe>);
+
+    int alive = 0, calls = 0;
+    {
+        Fn big = BigProbe{Probe(&alive, &calls)};
+        EXPECT_EQ(alive, 1);
+        Fn moved = std::move(big);
+        EXPECT_FALSE(big);
+        EXPECT_EQ(alive, 1); // a heap target moves by pointer
+        moved();
+        EXPECT_EQ(calls, 1);
+    }
+    EXPECT_EQ(alive, 0);
+}
+
+TEST(InlineFunction, EventRunsOnceAndIsDestroyedOnceOnFire)
+{
+    int alive = 0, calls = 0;
+    EventQueue q;
+    q.schedule(10, Probe(&alive, &calls));
+    q.schedule(20, BigProbe{Probe(&alive, &calls)});
+    EXPECT_EQ(alive, 2);
+    q.run();
+    EXPECT_EQ(calls, 2);
+    EXPECT_EQ(alive, 0);
+}
+
+TEST(InlineFunction, CancelDestroysTheCallbackOnce)
+{
+    int alive = 0, calls = 0;
+    EventQueue q;
+    const EventId small = q.schedule(10, Probe(&alive, &calls));
+    const EventId big = q.schedule(10, BigProbe{Probe(&alive, &calls)});
+    EXPECT_TRUE(q.cancel(small));
+    EXPECT_TRUE(q.cancel(big));
+    EXPECT_EQ(alive, 0);
+    EXPECT_FALSE(q.cancel(small));
+    q.run();
+    EXPECT_EQ(calls, 0);
+    EXPECT_EQ(alive, 0);
+}
+
+TEST(InlineFunction, QueueDestructionDestroysPendingCallbacks)
+{
+    int alive = 0, calls = 0;
+    {
+        EventQueue q;
+        for (int i = 0; i < 100; ++i) {
+            q.schedule(Time(i), Probe(&alive, &calls));
+            q.schedule(Time(i), BigProbe{Probe(&alive, &calls)});
+        }
+        q.run_until(9); // fires 20, leaves 180 pending
+        EXPECT_EQ(calls, 20);
+        EXPECT_EQ(alive, 180);
+    }
+    EXPECT_EQ(alive, 0);
+    EXPECT_EQ(calls, 20);
+}
+
+TEST(InlineFunction, HoldsMoveOnlyCaptures)
+{
+    EventQueue q;
+    auto owned = std::make_unique<int>(41);
+    int seen = 0;
+    q.schedule(5, [p = std::move(owned), &seen] { seen = ++*p; });
+    q.run();
+    EXPECT_EQ(seen, 42);
+
+    // Arguments forward to the target; a mutable target keeps its state
+    // across calls.
+    InlineFunction<int(int)> counter = [n = 0](int step) mutable {
+        return n += step;
+    };
+    EXPECT_EQ(counter(2), 2);
+    EXPECT_EQ(counter(3), 5);
+    counter = nullptr;
+    EXPECT_FALSE(counter);
 }

@@ -1,16 +1,23 @@
 /**
  * @file
  * Unit tests for the metrics layer: latency breakdown, stutter model,
- * power model, histogram, and reporters.
+ * power model, histogram, reporters, and FrameStats' due rule.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
+#include <vector>
+
+#include "core/render_system.h"
 #include "metrics/histogram.h"
 #include "metrics/latency.h"
 #include "metrics/power_model.h"
 #include "metrics/reporter.h"
 #include "metrics/stutter_model.h"
+#include "sim/random.h"
+#include "workload/frame_cost.h"
 
 using namespace dvs;
 using namespace dvs::time_literals;
@@ -260,4 +267,109 @@ TEST(Reporter, AsciiBarProportional)
     EXPECT_EQ(ascii_bar(10.0, 10.0, 10).size(), 10u);
     EXPECT_EQ(ascii_bar(0.0, 10.0, 10).size(), 0u);
     EXPECT_EQ(ascii_bar(20.0, 10.0, 10).size(), 10u); // clamped
+}
+
+// ----- FrameStats due rule ------------------------------------------------------
+
+namespace {
+
+/** Seeded per-frame costs with occasional heavy frames. */
+class SeededCostModel : public FrameCostModel
+{
+  public:
+    explicit SeededCostModel(std::uint64_t seed) : seed_(seed) {}
+
+    FrameCost cost_for(std::int64_t index) const override
+    {
+        Rng rng(seed_ * 1'000'003 + std::uint64_t(index));
+        FrameCost c;
+        c.ui_time = Time(rng.uniform_int(500'000, 3'000'000));
+        c.render_time = Time(rng.uniform_int(2'000'000, 7'000'000));
+        if (rng.chance(0.15))
+            c.render_time += Time(rng.uniform_int(8'000'000, 40'000'000));
+        return c;
+    }
+
+  private:
+    std::uint64_t seed_;
+};
+
+/**
+ * FrameStats' due rule evaluated over every segment of the scenario,
+ * from the producer's state and the per-segment present counts.
+ */
+bool
+full_scan_due(const Producer &p, const std::vector<std::int64_t> &presented,
+              Time t)
+{
+    const Time depth = 2; // FrameStats' default pipeline depth
+    for (std::size_t i = 0; i < p.scenario().size(); ++i) {
+        const SegmentState &st = p.segment_state(int(i));
+        if (st.anchor == kTimeNone)
+            continue;
+        const Time first = st.anchor + depth * st.period;
+        if (t < first)
+            continue;
+        const std::int64_t expected = std::min<std::int64_t>(
+            (t - first) / st.period + 1, st.total_slots);
+        if (presented[i] >= expected)
+            continue;
+        const Time window_end = first + (st.total_slots - 1) * st.period;
+        if (t <= window_end || presented[i] < st.started)
+            return true;
+    }
+    return false;
+}
+
+} // namespace
+
+TEST(FrameStats, DueCursorMatchesFullScan)
+{
+    // Seeded D-VSync (FPE) and VSync sessions over many short segments.
+    // Back-to-back animations put a segment's display window (anchor +
+    // pipeline lag + its slots) past the next segment's start, so
+    // several segments are live at once; heavy frames keep frames of a
+    // closed window in flight.
+    std::uint64_t repeats = 0, due = 0;
+    for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+        Rng rng(seed);
+        Scenario sc("due");
+        for (int s = 0; s < 24; ++s) {
+            const Time len = Time(rng.uniform_int(20, 160)) * 1'000'000;
+            auto cost = std::make_shared<SeededCostModel>(seed * 97 + s);
+            if (rng.chance(0.15))
+                sc.realtime(len, cost);
+            else
+                sc.animate(len, cost);
+            if (rng.chance(0.3))
+                sc.idle(Time(rng.uniform_int(1, 60)) * 1'000'000);
+        }
+        for (RenderMode mode : {RenderMode::kDvsync, RenderMode::kVsync}) {
+            SystemConfig cfg;
+            cfg.device = seed % 2 ? pixel5() : mate60_pro();
+            cfg.mode = mode;
+            cfg.seed = seed;
+            RenderSystem sys(cfg, sc);
+            Producer &p = sys.producer();
+            std::vector<std::int64_t> presented(sc.size(), 0);
+            // Registered after FrameStats, so its RefreshLog for this
+            // refresh is already appended when this listener runs.
+            sys.panel().add_present_listener([&](const PresentEvent &ev) {
+                if (!ev.repeat) {
+                    const FrameRecord &rec = p.records()[ev.meta.frame_id];
+                    ++presented[std::size_t(rec.segment_index)];
+                    return;
+                }
+                const bool want = full_scan_due(p, presented, ev.present_time);
+                ASSERT_EQ(sys.stats().refreshes().back().due, want)
+                    << "seed " << seed << " at t=" << ev.present_time;
+                ++repeats;
+                due += want;
+            });
+            sys.run();
+        }
+    }
+    // The sessions exercise both outcomes of the rule.
+    EXPECT_GT(due, 100u);
+    EXPECT_GT(repeats - due, 100u);
 }

@@ -66,6 +66,38 @@ TEST(ExecResource, ZeroDurationWorkCompletesSameTick)
     EXPECT_EQ(sim.now(), 0);
 }
 
+TEST(ExecResource, CompletionsRunInSubmissionOrder)
+{
+    // Zero-duration jobs, jobs queued while busy, and jobs submitted
+    // from inside a completion all finish in submission order, each
+    // followed by the done listeners.
+    Simulator sim;
+    ExecResource r(sim, "t");
+    std::vector<std::pair<int, Time>> log;
+    auto job = [&](int tag) {
+        return [&log, &sim, tag] { log.emplace_back(tag, sim.now()); };
+    };
+    r.add_done_listener([&] { log.emplace_back(-1, sim.now()); });
+    sim.events().schedule(1_ms, [&] {
+        r.run(0, job(0));
+        r.run(2_ms, job(1)); // queued behind a zero-length job
+        r.run(0, job(2));    // ends at the same tick as job 1
+        r.run(0, [&, job] {
+            log.emplace_back(3, sim.now());
+            r.run(0, job(4)); // submitted by a completion
+            r.run(1_ms, job(5));
+        });
+    });
+    sim.run();
+    const std::vector<std::pair<int, Time>> want = {
+        {0, 1_ms}, {-1, 1_ms}, {1, 3_ms}, {-1, 3_ms}, {2, 3_ms},
+        {-1, 3_ms}, {3, 3_ms}, {-1, 3_ms}, {4, 3_ms}, {-1, 3_ms},
+        {5, 4_ms}, {-1, 4_ms}};
+    EXPECT_EQ(log, want);
+    EXPECT_EQ(r.jobs(), 6u);
+    EXPECT_TRUE(r.idle());
+}
+
 // ----- steady-state pipeline ----------------------------------------------------
 
 TEST(VsyncPipeline, SteadyStateLatencyIsTwoPeriods)

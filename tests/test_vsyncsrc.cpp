@@ -6,7 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <deque>
+#include <numeric>
+
 #include "display/hw_vsync.h"
+#include "sim/random.h"
 #include "sim/simulator.h"
 #include "vsyncsrc/choreographer.h"
 #include "vsyncsrc/vsync_distributor.h"
@@ -84,6 +88,119 @@ TEST(VsyncModel, ResetRestoresNominal)
     EXPECT_EQ(m.period(), 10_ms);
     EXPECT_EQ(m.last_edge(), kTimeNone);
     EXPECT_EQ(m.samples(), 0u);
+}
+
+namespace {
+
+/**
+ * The estimator re-summed from scratch on every sample: a deque of the
+ * last `window` deltas, reset on a deviation above a quarter of their
+ * mean, period = sum / count. VsyncModel keeps a running sum instead and
+ * must agree with this at every step.
+ */
+class ResummingModel
+{
+  public:
+    ResummingModel(Time nominal, int window)
+        : nominal_(nominal), period_(nominal), window_(window)
+    {
+    }
+
+    void add_sample(Time edge, int grid_steps)
+    {
+        if (last_ != kTimeNone && edge > last_) {
+            const Time delta = (edge - last_) / grid_steps;
+            if (!recent_.empty()) {
+                const Time ref = std::accumulate(recent_.begin(),
+                                                 recent_.end(), Time(0)) /
+                                 Time(recent_.size());
+                const Time dev = delta > ref ? delta - ref : ref - delta;
+                if (dev > ref / 4)
+                    recent_.clear();
+            }
+            recent_.push_back(delta);
+            while (int(recent_.size()) > window_)
+                recent_.pop_front();
+        }
+        last_ = edge;
+        if (recent_.size() >= 2) {
+            period_ = std::accumulate(recent_.begin(), recent_.end(),
+                                      Time(0)) /
+                      Time(recent_.size());
+        }
+    }
+
+    void set_nominal_period(Time p)
+    {
+        nominal_ = p;
+        period_ = p;
+        recent_.clear();
+    }
+
+    void reset()
+    {
+        period_ = nominal_;
+        last_ = kTimeNone;
+        recent_.clear();
+    }
+
+    Time period() const { return period_; }
+
+  private:
+    Time nominal_;
+    Time period_;
+    Time last_ = kTimeNone;
+    int window_;
+    std::deque<Time> recent_;
+};
+
+} // namespace
+
+TEST(VsyncModel, RunningSumMatchesResummingEstimatorEveryStep)
+{
+    for (std::uint64_t seed = 1; seed <= 24; ++seed) {
+        Rng rng(seed);
+        const int window = int(rng.uniform_int(2, 20));
+        const Time nominal = 8'333'333;
+        VsyncModel model(nominal, window);
+        ResummingModel ref(nominal, window);
+        Time period = nominal;
+        Time edge = rng.uniform_int(0, 5_ms);
+        for (int step = 0; step < 2000; ++step) {
+            if (rng.chance(0.01)) {
+                // LTPO rate switch: 60/90/120/144 Hz.
+                const Time rates[] = {16'666'666, 11'111'111, 8'333'333,
+                                      6'944'444};
+                period = rates[rng.uniform_int(0, 3)];
+                if (rng.chance(0.5)) {
+                    model.set_nominal_period(period);
+                    ref.set_nominal_period(period);
+                }
+            }
+            if (rng.chance(0.002)) {
+                model.reset();
+                ref.reset();
+            }
+            // Sparse calibration (grid_steps > 1), jitter of a few
+            // hundred microseconds, and occasional missed edges.
+            const int steps = rng.chance(0.3) ? int(rng.uniform_int(2, 4))
+                                              : 1;
+            const int skipped = rng.chance(0.02) ? 1 : 0;
+            edge += Time(steps + skipped) * period +
+                    rng.uniform_int(-300'000, 300'000);
+            model.add_sample(edge, steps);
+            ref.add_sample(edge, steps);
+            ASSERT_EQ(model.period(), ref.period())
+                << "seed " << seed << " step " << step;
+            ASSERT_EQ(model.last_edge(), edge);
+            if (rng.chance(0.01)) {
+                // A repeated timestamp adds no delta.
+                model.add_sample(edge, 1);
+                ref.add_sample(edge, 1);
+                ASSERT_EQ(model.period(), ref.period());
+            }
+        }
+    }
 }
 
 // ----- VsyncDistributor ------------------------------------------------------
