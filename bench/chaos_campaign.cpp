@@ -12,11 +12,8 @@
  * pair.
  *
  * Usage: chaos_campaign [--seeds=N] [--jobs=N] [--out=PATH] [--golden]
- *                       [--forensics=PATH] [--sim-workers=N]
+ *                       [--forensics=PATH]
  *   --seeds=N    seeds per (mix, mode) cell (default 50)
- *   --sim-workers=N  parallel lane-dispatch workers inside each run
- *                (default 0 = serial; reports are byte-identical either
- *                way, so goldens never pass this flag)
  *   --out=PATH   where to write the JSON record (default
  *                BENCH_chaos.json; "-" suppresses the file)
  *   --golden     deterministic single-seed replay dump for the golden
@@ -98,7 +95,6 @@ main(int argc, char **argv)
     const std::string forensics_path = args.string_flag("forensics");
     const std::string record_base = args.string_flag("record");
     const int jobs = args.jobs();
-    const int sim_workers = args.int_flag("sim-workers", 0);
     const bool observatory_on = args.bool_flag("observatory");
     const int top_k = args.int_flag("top-k", 8);
     const std::string specimens_dir = args.string_flag("specimens");
@@ -107,8 +103,6 @@ main(int argc, char **argv)
         fatal("--specimens needs --observatory");
     if (seeds < 1)
         fatal("--seeds must be >= 1");
-    if (sim_workers < 0)
-        fatal("--sim-workers must be >= 0");
     if (golden) {
         seeds = 1;
         out_path = "-";
@@ -163,7 +157,6 @@ main(int argc, char **argv)
                     SystemConfig()
                         .with_mode(mode)
                         .with_seed(seed)
-                        .with_sim_workers(sim_workers)
                         .with_faults(std::make_shared<const FaultPlan>(
                             FaultPlan::generate(seed, horizon, mix)));
                 point.label = mix.name + "/" + to_string(mode) + "/seed" +
@@ -296,7 +289,6 @@ main(int argc, char **argv)
             SystemConfig()
                 .with_mode(RenderMode::kDvsync)
                 .with_seed(1)
-                .with_sim_workers(sim_workers)
                 .with_forensics(true)
                 .with_faults(std::make_shared<const FaultPlan>(
                     FaultPlan::generate(1, horizon, *everything)));

@@ -18,14 +18,10 @@
  *    arbiter must demonstrably buy frames with the same memory.
  *
  * Usage: fleet_campaign [--seeds=N] [--jobs=N] [--out=PATH] [--golden]
- *                       [--sim-workers=N] [--record=PATH]
+ *                       [--record=PATH]
  *   --seeds=N    seeds per (count, budget, policy) cell (default 10;
  *                the default grid is 3 counts x 4 budgets x 2 policies
  *                x 10 seeds = 240 sessions)
- *   --sim-workers=N  parallel lane-dispatch workers inside each session
- *                (default 0 = serial; sessions with a shared device GPU
- *                fall back to serial with identical reports, so goldens
- *                never pass this flag)
  *   --out=PATH   where to write the JSON record (default
  *                BENCH_fleet.json; "-" suppresses the file)
  *   --golden     deterministic single-seed replay dump for the golden
@@ -152,13 +148,10 @@ main(int argc, char **argv)
     bool golden = args.bool_flag("golden");
     std::string out_path = args.string_flag("out", "BENCH_fleet.json");
     const int jobs = args.jobs();
-    const int sim_workers = args.int_flag("sim-workers", 0);
     const std::string record_path = args.string_flag("record");
     args.finish();
     if (seeds < 1)
         fatal("--seeds must be >= 1");
-    if (sim_workers < 0)
-        fatal("--sim-workers must be >= 0");
     if (golden) {
         seeds = 1;
         out_path = "-";
@@ -205,14 +198,13 @@ main(int argc, char **argv)
                                  std::to_string(int(budget)) + "mb/" +
                                  to_string(policy) + "/seed" +
                                  std::to_string(seed);
-                    spec.run = [count, budget, policy, seed, sim_workers] {
+                    spec.run = [count, budget, policy, seed] {
                         return run_multi_surface(
                             roster(count, seed),
                             MultiSurfaceConfig()
                                 .with_seed(seed)
                                 .with_budget_mb(budget)
-                                .with_policy(policy)
-                                .with_sim_workers(sim_workers));
+                                .with_policy(policy));
                     };
                     tasks.push_back(std::move(spec));
                 }

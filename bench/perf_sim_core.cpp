@@ -11,14 +11,9 @@
  *     before they fire).
  *  2. A pure schedule/fire chain mix (the simulator's steady-state
  *     pattern).
- *  3. A full fig11-style app sweep timed end-to-end through the parallel
- *     ExperimentRunner — the macro number that the micro numbers exist
- *     to explain.
- *  4. The parallel-in-time lane dispatcher on a many-surface composition
- *     mix (private GPUs, all surfaces decoupled): one session timed
- *     serial vs. multi-worker. The dispatch hash is cross-checked on
- *     every run — parallel mode is only allowed to be faster, never
- *     different.
+ *  3. A full fig11-style app sweep timed end-to-end through the
+ *     ExperimentRunner (independent sessions on --jobs workers) — the
+ *     macro number that the micro numbers exist to explain.
  *
  * Each micro workload folds its dispatch order into a checksum. The
  * checksums are deterministic for a given --events value, so CI can
@@ -31,24 +26,16 @@
  */
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <functional>
-#include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_common.h"
 #include "metrics/reporter.h"
 #include "sim/event_queue.h"
 #include "sim/logging.h"
-#include "sim/parallel_dispatch.h"
-#include "surface/multi_surface.h"
-#include "workload/distributions.h"
 
 using namespace dvs;
 using namespace dvs::bench;
@@ -167,115 +154,6 @@ fig11_sweep_points()
     return points;
 }
 
-// ---- parallel lane-dispatch mix -----------------------------------------
-
-/**
- * Cost model with a calibrated per-sample compute grain.
- *
- * A real per-frame workload model does actual CPU work when a frame
- * starts — trace resampling, content-adaptive cost lookup, predictor
- * features — on the order of microseconds, where the simulator's raw
- * event plumbing is a few hundred nanoseconds. Parallel speedup is a
- * function of that per-event grain, so the parallel mix models it
- * explicitly: a fixed, deterministic number of integer-mix rounds per
- * cost query (pure function of the slot index — identical in serial and
- * parallel runs) folded into a checksum so the work cannot be elided.
- */
-class GrainedCostModel : public FrameCostModel
-{
-  public:
-    GrainedCostModel(std::shared_ptr<const FrameCostModel> inner,
-                     int rounds)
-        : inner_(std::move(inner)), rounds_(rounds)
-    {}
-
-    FrameCost cost_for(std::int64_t nominal_index) const override
-    {
-        std::uint64_t h = 0x9e3779b97f4a7c15ULL ^
-                          std::uint64_t(nominal_index);
-        for (int r = 0; r < rounds_; ++r) {
-            h += 0x9e3779b97f4a7c15ULL;
-            h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9ULL;
-            h = (h ^ (h >> 27)) * 0x94d049bb133111ebULL;
-            h ^= h >> 31;
-        }
-        grain_sink_.fetch_xor(h, std::memory_order_relaxed);
-        return inner_->cost_for(nominal_index);
-    }
-
-    static std::uint64_t sink() { return grain_sink_.load(); }
-
-  private:
-    std::shared_ptr<const FrameCostModel> inner_;
-    int rounds_;
-    static std::atomic<std::uint64_t> grain_sink_;
-};
-
-std::atomic<std::uint64_t> GrainedCostModel::grain_sink_{0};
-
-/// Integer-mix rounds per cost query in the parallel mix (~4 us).
-constexpr int kMixGrainRounds = 1200;
-
-/**
- * The parallel-mix fleet: many decoupled surfaces rendering on private
- * GPUs, which is exactly the shape that gives the conservative lane
- * dispatcher its lookahead (see DESIGN.md §5g). Heavy power-law costs
- * keep every lane busy between refresh barriers.
- */
-std::vector<SurfaceDesc>
-parallel_mix_surfaces(int n)
-{
-    std::vector<SurfaceDesc> descs;
-    descs.reserve(std::size_t(n));
-    for (int i = 0; i < n; ++i) {
-        PowerLawParams p;
-        p.short_mean_ms = 5.0 + 0.5 * double(i % 4);
-        p.heavy_prob = 0.12;
-        p.heavy_min_ms = 10.0;
-        p.heavy_max_ms = 24.0;
-        auto cost = std::make_shared<GrainedCostModel>(
-            std::make_shared<PowerLawCostModel>(p, 101 + std::uint64_t(i)),
-            kMixGrainRounds);
-        SurfaceDesc d;
-        d.name = "layer" + std::to_string(i);
-        Scenario sc(d.name);
-        sc.animate(1'500'000'000, cost); // 1.5 s of animation
-        d.scenario = std::move(sc);
-        d.buffer_mb = 10.0 + double(i % 5);
-        d.weight = 1.0 + double(i % 3);
-        descs.push_back(std::move(d));
-    }
-    return descs;
-}
-
-struct ParallelMixRun {
-    double wall_ms = 0.0;
-    std::uint64_t hash = 0;
-    std::uint64_t dispatched = 0;
-    std::uint64_t windows = 0;
-    double fdps_total = 0.0;
-};
-
-ParallelMixRun
-run_parallel_mix(int surfaces, int workers)
-{
-    MultiSurfaceSystem sys(parallel_mix_surfaces(surfaces),
-                           MultiSurfaceConfig()
-                               .with_budget_mb(double(surfaces) * 14.0)
-                               .with_shared_gpu(false)
-                               .with_sim_workers(workers));
-    const auto t0 = std::chrono::steady_clock::now();
-    const RunReport report = sys.run();
-    ParallelMixRun out;
-    out.wall_ms = ms_since(t0);
-    out.hash = sys.sim().events().dispatch_hash();
-    out.dispatched = sys.sim().events().dispatched();
-    out.fdps_total = report.fdps;
-    if (const ParallelDispatcher *d = sys.sim().dispatcher())
-        out.windows = d->windows();
-    return out;
-}
-
 } // namespace
 
 int
@@ -368,41 +246,6 @@ main(int argc, char **argv)
         base_best_ms = std::min(base_best_ms, ms_since(t0));
     }
 
-    // ---- parallel lane-dispatch mix ------------------------------------
-    //
-    // Serial vs. multi-worker on the same many-surface session,
-    // best-of-3 each, interleaved. The dispatch hash folds (when, prio,
-    // lane, seq) of every dispatched event in order, so equal hashes
-    // mean the parallel run dispatched the exact serial sequence — the
-    // cross-checksum runs every time, not only under --golden.
-    const int mix_surfaces = 32;
-    const int mix_workers = 4;
-    ParallelMixRun mix_serial, mix_par;
-    for (int rep = 0; rep < 3; ++rep) {
-        const ParallelMixRun s = run_parallel_mix(mix_surfaces, 0);
-        const ParallelMixRun p = run_parallel_mix(mix_surfaces,
-                                                  mix_workers);
-        if (s.hash != p.hash || s.dispatched != p.dispatched) {
-            fatal("parallel lane dispatch diverged from serial: "
-                  "%016llx (%llu events) vs %016llx (%llu events)",
-                  (unsigned long long)s.hash,
-                  (unsigned long long)s.dispatched,
-                  (unsigned long long)p.hash,
-                  (unsigned long long)p.dispatched);
-        }
-        if (s.fdps_total != p.fdps_total)
-            fatal("parallel lane dispatch changed results");
-        if (rep == 0 || s.wall_ms < mix_serial.wall_ms)
-            mix_serial = s;
-        if (rep == 0 || p.wall_ms < mix_par.wall_ms)
-            mix_par = p;
-    }
-    const double mix_speedup = mix_serial.wall_ms / mix_par.wall_ms;
-    // Wall-clock speedup is bounded by the machine: on a single-core
-    // host the parallel run can only tie serial (the cross-check is
-    // what runs unconditionally; the timing is a capability record).
-    const unsigned mix_cores = std::thread::hardware_concurrency();
-
     TableReporter table({"workload", "wall (ms)", "ns/schedule"});
     table.add_row({"cancel-heavy mix", TableReporter::num(cancel_ms, 1),
                    TableReporter::num(1e6 * cancel_ms / double(events), 1)});
@@ -410,15 +253,6 @@ main(int argc, char **argv)
                    TableReporter::num(1e6 * chain_ms / double(events), 1)});
     table.print();
 
-    // Time-valued: deliberately does NOT match the golden grep (which
-    // pins 'dispatch checksum'/'fdps sum' lines only).
-    std::printf("\nparallel mix: %d surfaces, %llu events, serial %.1f ms "
-                "vs %d workers %.1f ms = %.2fx on %u hw core%s "
-                "(%llu windows, lane hash cross-check ok)\n",
-                mix_surfaces, (unsigned long long)mix_serial.dispatched,
-                mix_serial.wall_ms, mix_workers, mix_par.wall_ms,
-                mix_speedup, mix_cores, mix_cores == 1 ? "" : "s",
-                (unsigned long long)mix_par.windows);
     std::printf("\nfig11 sweep: %zu runs in %.1f ms (%d jobs)\n",
                 points.size(), sweep_ms, runner.jobs());
     std::printf("forensics-on sweep: %.1f ms vs %.1f ms wall "
@@ -479,26 +313,6 @@ main(int argc, char **argv)
                       "  }",
                       forensics_best_ms, overhead_pct);
         record.raw("forensics_sweep", jbuf);
-        std::snprintf(jbuf, sizeof(jbuf),
-                      "{\n"
-                      "    \"surfaces\": %d,\n"
-                      "    \"workers\": %d,\n"
-                      "    \"hw_cores\": %u,\n"
-                      "    \"grain_rounds\": %d,\n"
-                      "    \"serial_ms\": %.3f,\n"
-                      "    \"parallel_ms\": %.3f,\n"
-                      "    \"speedup\": %.2f,\n"
-                      "    \"dispatched\": %llu,\n"
-                      "    \"windows\": %llu,\n"
-                      "    \"lane_hash\": \"%016llx\"\n"
-                      "  }",
-                      mix_surfaces, mix_workers, mix_cores,
-                      kMixGrainRounds, mix_serial.wall_ms, mix_par.wall_ms,
-                      mix_speedup,
-                      (unsigned long long)mix_serial.dispatched,
-                      (unsigned long long)mix_par.windows,
-                      (unsigned long long)mix_serial.hash);
-        record.raw("parallel_mix", jbuf);
         record.write(out_path);
         std::printf("\nperf record written to %s\n", out_path.c_str());
     }

@@ -14,17 +14,13 @@
  *  - held to the campaign bar: no failed runs, zero invariant
  *    violations, and every dropped frame attributed to a cause.
  *
- * Output is byte-identical whatever --jobs or --sim-workers says — the
- * CI determinism check replays the corpus under several values of each
- * and compares stdout.
+ * Output is byte-identical whatever --jobs says — the CI determinism
+ * check replays the corpus at two job counts and compares stdout.
  *
- * Usage: trace_campaign [--corpus=DIR] [--jobs=N] [--sim-workers=N]
- *                       [--out=PATH] [--golden] [--write-extra=DIR]
+ * Usage: trace_campaign [--corpus=DIR] [--jobs=N] [--out=PATH] [--golden]
+ *                       [--write-extra=DIR] [--record-synthetics=DIR]
  *   --corpus=DIR   directory scanned (non-recursively) for *.dvst
  *                  entries, replayed in name order (default traces)
- *   --sim-workers=N  parallel lane-dispatch workers inside each replay
- *                  (-1 = as recorded, 0 = serial, N = N workers; the
- *                  bit-exact contract holds at any worker count)
  *   --out=PATH     where to write the JSON record (default
  *                  BENCH_trace.json; "-" suppresses the file)
  *   --golden       deterministic full-report dump for the golden check
@@ -41,11 +37,9 @@
  */
 
 #include <algorithm>
-#include <atomic>
 #include <cstdio>
 #include <filesystem>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_common.h"
@@ -95,8 +89,7 @@ stats_of(const RunReport &r)
 }
 
 EntryResult
-replay_entry(const std::filesystem::path &path, int sim_workers,
-             bool golden)
+replay_entry(const std::filesystem::path &path, bool golden)
 {
     EntryResult res;
     res.name = path.filename().string();
@@ -125,9 +118,7 @@ replay_entry(const std::filesystem::path &path, int sim_workers,
                                r.report.debug_string() + "\n";
     };
 
-    ReplayOptions opts;
-    opts.sim_workers = sim_workers;
-    const ReplayResult as_recorded = replay_session(cap, opts);
+    const ReplayResult as_recorded = replay_session(cap);
     res.recorded = stats_of(as_recorded.report);
     check(as_recorded, "as-recorded");
     if (cap.verbatim)
@@ -135,7 +126,6 @@ replay_entry(const std::filesystem::path &path, int sim_workers,
 
     for (RenderMode mode : {RenderMode::kVsync, RenderMode::kDvsync}) {
         ReplayOptions forced;
-        forced.sim_workers = sim_workers;
         forced.mode = mode;
         const ReplayResult r = replay_session(cap, forced);
         (mode == RenderMode::kVsync ? res.vsync : res.dvsync) =
@@ -216,10 +206,7 @@ main(int argc, char **argv)
     const std::string extra_dir = args.string_flag("write-extra");
     const std::string synth_dir = args.string_flag("record-synthetics");
     const int jobs = args.jobs();
-    const int sim_workers = args.int_flag("sim-workers", -1);
     args.finish();
-    if (sim_workers < -1)
-        fatal("--sim-workers must be >= -1");
     if (golden)
         out_path = "-";
 
@@ -249,24 +236,24 @@ main(int argc, char **argv)
         fatal("corpus directory %s holds no .dvst entries",
               corpus.c_str());
 
-    // Entries replay in parallel; results print in name order, so the
-    // output is byte-stable whatever --jobs says.
+    // Entries replay in parallel, each task filling its own slot;
+    // results print in name order, so the output is byte-stable whatever
+    // --jobs says. A task the runner reports as failed (a fatal() inside
+    // the replay) keeps that error in its slot.
     std::vector<EntryResult> results(entries.size());
-    {
-        std::atomic<std::size_t> next{0};
-        const std::size_t workers = std::size_t(std::max(
-            1, std::min<int>(jobs, int(entries.size()))));
-        std::vector<std::thread> pool;
-        for (std::size_t t = 0; t < workers; ++t) {
-            pool.emplace_back([&] {
-                for (std::size_t i = next.fetch_add(1);
-                     i < entries.size(); i = next.fetch_add(1))
-                    results[i] =
-                        replay_entry(entries[i], sim_workers, golden);
-            });
+    std::vector<ExperimentRunner::Task> tasks;
+    for (std::size_t i = 0; i < entries.size(); ++i) {
+        tasks.push_back([&results, &entries, i, golden] {
+            results[i] = replay_entry(entries[i], golden);
+            return RunReport{};
+        });
+    }
+    const std::vector<RunReport> done = ExperimentRunner(jobs).run_tasks(tasks);
+    for (std::size_t i = 0; i < done.size(); ++i) {
+        if (!done[i].error.empty()) {
+            results[i].name = entries[i].filename().string();
+            results[i].error = done[i].error;
         }
-        for (std::thread &t : pool)
-            t.join();
     }
 
     std::printf("trace corpus: %zu entries from %s\n\n", entries.size(),

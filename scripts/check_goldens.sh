@@ -162,7 +162,7 @@ fi
 # replay dumps (reports, dispatch hashes, lineage). The replay also
 # enforces the bit-exact contract and the acceptance bar, so a nonzero
 # exit fails the check even if the text matches. Byte-stable at any
-# --jobs / --sim-workers (checked separately in scripts/ci.sh).
+# --jobs (checked separately in scripts/ci.sh).
 if "$BENCH_DIR/trace_campaign" --golden --jobs=1 2>/dev/null \
     > "$TMP/trace_campaign.golden.txt" \
     && cmp -s bench/goldens/trace_campaign.golden.txt \

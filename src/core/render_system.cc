@@ -61,10 +61,8 @@ RenderSystem::RenderSystem(const SystemConfig &config, Scenario scenario)
 
     producer_ = std::make_unique<Producer>(sim_, std::move(scenario),
                                            *queue_, *dist_);
-    // Single surface = one lane; degenerate under parallel dispatch but
-    // keeps the single- and multi-surface stacks on the same code path.
-    producer_->pin_lane(1);
-    sim_.set_sim_workers(config.sim_workers);
+    // Tagged like surface 0 of a multi-surface system.
+    producer_->set_event_tag(1);
     // Typical runs keep a few hundred events live; pre-sizing the heap
     // and slot map keeps the hot loop out of the allocator.
     sim_.events().reserve(256);
@@ -116,8 +114,7 @@ RenderSystem::RenderSystem(const SystemConfig &config, Scenario scenario)
         // deterministic animation's follow-up frames re-render mostly
         // coherent content at a fraction of the nominal GPU cost;
         // interactions are partially coherent; real-time content is
-        // always new. Depends only on the record, so it is identical at
-        // any worker count.
+        // always new. Depends only on the record, so replays reproduce it.
         producer_->set_gpu_cost_shaper(
             [this](const FrameRecord &rec, Time nominal) {
                 const double lo = plant_->params().coherent_scale;

@@ -150,16 +150,6 @@ struct SystemConfig {
      */
     GovernorConfig governor;
 
-    /**
-     * Parallel lane-dispatch worker count for the simulation core.
-     * 0 or 1 = classic serial dispatch. n > 1 executes independent
-     * per-surface event lanes on n workers between barriers; results
-     * (reports, goldens, dispatch checksums) are byte-identical to
-     * serial at any worker count. A single-surface system has one lane,
-     * so this mostly matters through MultiSurfaceConfig.
-     */
-    int sim_workers = 0;
-
     SystemConfig() : device(pixel5()) {}
 
     // ----- fluent named setters ----------------------------------------
@@ -250,11 +240,6 @@ struct SystemConfig {
     SystemConfig &with_metrics_interval(Time interval)
     {
         metrics_interval = interval;
-        return *this;
-    }
-    SystemConfig &with_sim_workers(int n)
-    {
-        sim_workers = n;
         return *this;
     }
     SystemConfig &with_thermal(ThermalSpec t)

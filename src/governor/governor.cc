@@ -31,8 +31,7 @@ Governor::install(Simulator &sim, const MetricsRegistry &registry,
         fatal("governor control interval must be > 0");
     installed_ = true;
     registry_ = &registry;
-    // Self-rescheduling tick on the shared lane: a barrier under
-    // parallel dispatch, so sensor reads see settled cross-lane state.
+    // Self-rescheduling tick.
     struct Rearm {
         Simulator &sim;
         Governor &gov;

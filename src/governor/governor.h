@@ -29,11 +29,9 @@
  * transition count over any horizon T is O(rungs * log(T)) rather than
  * O(T) — the flap-storm test pins this bound.
  *
- * Determinism: the tick runs at kMetrics priority on the shared event
- * lane (lane 0). Under parallel lane dispatch, shared-lane events are
- * window barriers — every surface lane has retired its window before the
- * tick reads the sensors — so the control loop sees identical sensor
- * values at any --sim-workers count.
+ * Determinism: the tick runs at kMetrics priority, after every other
+ * event of its tick, so the control loop reads settled sensor values
+ * and a replay of the same session takes the same decisions.
  */
 
 #ifndef DVS_GOVERNOR_GOVERNOR_H

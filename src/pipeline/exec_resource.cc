@@ -32,14 +32,9 @@ ExecResource::run(Time duration, EventQueue::Callback on_done)
     ++jobs_;
     for (auto &listener : usage_listeners_)
         listener(start, end);
-    // The completion event belongs to this resource's lane regardless of
-    // which context submitted the work (a vsync delivery on the shared
-    // lane kicks a surface's UI stage; the completion still runs on the
-    // surface's lane).
     done_fifo_.push_back(std::move(on_done));
-    LaneScope scope(lane_);
     sim_.events().schedule(end, [this] { complete(); },
-                           EventPriority::kPipeline);
+                           EventPriority::kPipeline, tag_);
     return start;
 }
 

@@ -87,14 +87,11 @@ class ExecResource
     std::uint64_t jobs() const { return jobs_; }
 
     /**
-     * Pin this resource's completion events to event lane @p lane. A
-     * resource owned by one surface (its UI thread, render thread, or
-     * private GPU) is the unit of parallelism under the lane dispatcher;
-     * shared resources (a device GPU) stay on kSharedLane. Purely a
-     * placement tag — dispatch order is unaffected.
+     * Tag this resource's completion events with @p tag (its surface's
+     * tag; a shared device GPU keeps kSharedTag). Folded into the
+     * dispatch hash only; dispatch order is unaffected.
      */
-    void set_lane(LaneId lane) { lane_ = lane; }
-    LaneId lane() const { return lane_; }
+    void set_event_tag(EventTag tag) { tag_ = tag; }
 
   private:
     void complete();
@@ -115,7 +112,7 @@ class ExecResource
     Time busy_until_ = 0;
     Time total_busy_ = 0;
     std::uint64_t jobs_ = 0;
-    LaneId lane_ = kSharedLane;
+    EventTag tag_ = kSharedTag;
 };
 
 } // namespace dvs

@@ -241,7 +241,7 @@ Producer::on_ui_done(std::uint64_t id)
     if (pacer_->align_render(rec)) {
         dist_.request_callback(
             VsyncChannel::kRs,
-            [this, id](const SwVsync &) { enqueue_render(id); }, lane_);
+            [this, id](const SwVsync &) { enqueue_render(id); }, tag_);
     } else {
         enqueue_render(id);
     }

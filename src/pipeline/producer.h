@@ -229,24 +229,18 @@ class Producer
     void use_shared_gpu(ExecResource &gpu);
 
     /**
-     * Pin this producer's pipeline stages (UI thread, render thread,
-     * and the private GPU) to event lane @p lane for parallel lane
-     * dispatch. A shared device GPU installed via use_shared_gpu() is
-     * deliberately NOT pinned — cross-surface work must stay on the
-     * shared lane. Placement only; results are identical at any worker
-     * count.
+     * Tag this producer's events — UI thread, render thread and private
+     * GPU completions, and its vsync deliveries — with @p tag. A shared
+     * device GPU installed via use_shared_gpu() keeps its own tag.
      */
-    void pin_lane(LaneId lane)
+    void set_event_tag(EventTag tag)
     {
-        lane_ = lane;
-        ui_thread_.set_lane(lane);
-        render_thread_.set_lane(lane);
-        gpu_.set_lane(lane);
-        choreographer_.set_lane(lane);
+        tag_ = tag;
+        ui_thread_.set_event_tag(tag);
+        render_thread_.set_event_tag(tag);
+        gpu_.set_event_tag(tag);
+        choreographer_.set_event_tag(tag);
     }
-
-    /** Lane this producer is pinned to (kSharedLane when unpinned). */
-    LaneId lane() const { return lane_; }
 
     /**
      * Resume GPU submissions parked behind another submitter's job on a
@@ -284,7 +278,7 @@ class Producer
     ExecResource render_thread_;
     ExecResource gpu_;
     ExecResource *gpu_res_ = &gpu_;
-    LaneId lane_ = kSharedLane;
+    EventTag tag_ = kSharedTag;
     FramePacer *pacer_ = nullptr;
     ContentSampler sampler_;
     ExtraCostFn extra_cost_;

@@ -2,51 +2,11 @@
 
 #include <cstdio>
 
-#include "sim/parallel_dispatch.h"
 #include "sim/time.h"
-#include "sim/worker_pool.h"
 
 namespace dvs {
 
 Simulator::Simulator(std::uint64_t seed) : rng_(seed) {}
-
-Simulator::~Simulator() = default;
-
-void
-Simulator::set_sim_workers(int n)
-{
-    if (n <= 1) {
-        dispatcher_.reset();
-        pool_.reset();
-        return;
-    }
-    pool_ = std::make_unique<SimWorkerPool>(n);
-    dispatcher_ = std::make_unique<ParallelDispatcher>(events_, *pool_);
-}
-
-int
-Simulator::sim_workers() const
-{
-    return pool_ ? pool_->workers() : 1;
-}
-
-void
-Simulator::run_until(Time horizon)
-{
-    if (dispatcher_)
-        dispatcher_->run_until(horizon, true);
-    else
-        events_.run_until(horizon);
-}
-
-void
-Simulator::run()
-{
-    if (dispatcher_)
-        dispatcher_->run_until(kTimeMax, false);
-    else
-        events_.run();
-}
 
 std::string
 format_time(Time t)

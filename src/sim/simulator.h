@@ -11,7 +11,6 @@
 #define DVS_SIM_SIMULATOR_H
 
 #include <cstdint>
-#include <memory>
 
 #include "sim/event_queue.h"
 #include "sim/random.h"
@@ -19,22 +18,18 @@
 
 namespace dvs {
 
-class SimWorkerPool;
-class ParallelDispatcher;
-
 /**
  * Simulation context: virtual clock, event queue, and root RNG.
  *
  * The simulator is deterministic: given the same seed and the same set of
- * attached entities, every run produces identical event sequences — in
- * serial mode and, byte-identically, in the parallel lane-dispatch mode
- * enabled by set_sim_workers() (see DESIGN.md §5g).
+ * attached entities, every run produces identical event sequences.
+ * Campaigns parallelise across independent sessions (ExperimentRunner),
+ * never inside one (see DESIGN.md §5g).
  */
 class Simulator
 {
   public:
     explicit Simulator(std::uint64_t seed = 1);
-    ~Simulator();
 
     Simulator(const Simulator &) = delete;
     Simulator &operator=(const Simulator &) = delete;
@@ -48,31 +43,15 @@ class Simulator
     /** Root random stream. Entities should fork() their own sub-streams. */
     Rng &rng() { return rng_; }
 
-    /**
-     * Dispatch independent event lanes on @p n workers (including the
-     * simulation thread; <= 1 reverts to serial dispatch). Dispatch
-     * order, results, and the dispatch hash are byte-identical to
-     * serial at any worker count.
-     */
-    void set_sim_workers(int n);
-
-    /** Configured worker count (1 = serial dispatch). */
-    int sim_workers() const;
-
-    /** Parallel dispatcher, or null in serial mode (testing hooks). */
-    ParallelDispatcher *dispatcher() { return dispatcher_.get(); }
-
     /** Run until no events remain before @p horizon. */
-    void run_until(Time horizon);
+    void run_until(Time horizon) { events_.run_until(horizon); }
 
     /** Run all pending events to exhaustion. */
-    void run();
+    void run() { events_.run(); }
 
   private:
     EventQueue events_;
     Rng rng_;
-    std::unique_ptr<SimWorkerPool> pool_;
-    std::unique_ptr<ParallelDispatcher> dispatcher_;
 };
 
 } // namespace dvs

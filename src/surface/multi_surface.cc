@@ -1,7 +1,6 @@
 #include "surface/multi_surface.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cstdio>
 
 #include "core/dvsync_config.h"
@@ -85,13 +84,9 @@ MultiSurfaceSystem::MultiSurfaceSystem(std::vector<SurfaceDesc> descs,
 
     dist_ = std::make_unique<VsyncDistributor>(sim_, *hw_);
     // With private GPUs the surfaces are fully decoupled, so each edge
-    // fans out as one delivery event per surface lane — frame starts
-    // (cost sampling, UI scheduling) then execute inside lane windows
-    // instead of serializing on the shared lane. Tied to the GPU config,
-    // not the worker count: serial and parallel runs of one config must
-    // dispatch identically.
+    // fans out as one delivery event per surface.
     if (!config.shared_gpu)
-        dist_->set_per_lane_delivery(true);
+        dist_->set_per_tag_delivery(true);
     gpu_ = std::make_unique<ExecResource>(sim_, "device gpu");
     // A producer only pumps its own GPU backlog when its own job
     // finishes; on a shared GPU the finishing job may belong to another
@@ -108,9 +103,9 @@ MultiSurfaceSystem::MultiSurfaceSystem(std::vector<SurfaceDesc> descs,
                                                 *s.queue, *dist_);
         if (config.shared_gpu)
             s.producer->use_shared_gpu(*gpu_);
-        // Lane 0 is the shared lane (vsync edges, device GPU, arbiter,
-        // compositor); surface i owns lane i + 1.
-        s.producer->pin_lane(LaneId(i) + 1);
+        // Tag 0 is shared work (vsync edges, device GPU, arbiter,
+        // compositor); surface i's events carry tag i + 1.
+        s.producer->set_event_tag(EventTag(i) + 1);
 
         if (s.desc.dvsync_aware) {
             DvsyncConfig dc;
@@ -254,26 +249,6 @@ MultiSurfaceSystem::MultiSurfaceSystem(std::vector<SurfaceDesc> descs,
         metrics_->install(sim_, interval);
     }
 
-    if (config.sim_workers > 1) {
-        if (config.shared_gpu) {
-            // A shared device GPU couples every surface's pacing through
-            // its busy horizon: one surface's gpu-done chain mutates what
-            // another surface reads mid-window, so the conservative
-            // lookahead collapses to nothing. Fall back loudly rather
-            // than crawl window-by-window (results are identical).
-            // Campaigns construct thousands of sessions, possibly from
-            // worker threads — warn once per process, not per session.
-            static std::atomic<bool> warned{false};
-            if (!warned.exchange(true))
-                std::fprintf(stderr,
-                             "multi-surface: sim_workers=%d needs private "
-                             "GPUs (shared_gpu=false); using serial "
-                             "dispatch\n",
-                             config.sim_workers);
-        } else {
-            sim_.set_sim_workers(config.sim_workers);
-        }
-    }
     sim_.events().reserve(128 * surfaces_.size());
 }
 

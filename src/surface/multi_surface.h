@@ -109,20 +109,10 @@ struct MultiSurfaceConfig {
      * Whether all surfaces contend for one shared device GPU (the
      * default, and the physics every existing golden pins) or each
      * surface renders on a private GPU. Private GPUs decouple the
-     * surfaces' pipelines, which is what gives the parallel dispatcher
-     * its lookahead — see sim_workers.
+     * surfaces' pipelines, so each vsync edge is delivered as one event
+     * per surface (VsyncDistributor::set_per_tag_delivery).
      */
     bool shared_gpu = true;
-
-    /**
-     * Parallel lane-dispatch worker count; 0 or 1 = serial. Requires
-     * shared_gpu = false: a shared device GPU couples every surface's
-     * frame pacing through its busy horizon, which collapses the
-     * conservative lookahead window (see DESIGN.md §5g). When both are
-     * set the system warns and falls back to serial dispatch — results
-     * are identical either way.
-     */
-    int sim_workers = 0;
 
     MultiSurfaceConfig() : device(pixel5()) {}
 
@@ -194,11 +184,6 @@ struct MultiSurfaceConfig {
     MultiSurfaceConfig &with_shared_gpu(bool on)
     {
         shared_gpu = on;
-        return *this;
-    }
-    MultiSurfaceConfig &with_sim_workers(int n)
-    {
-        sim_workers = n;
         return *this;
     }
 };

@@ -194,7 +194,7 @@ encode_system_config(const SystemConfig &c)
     w.svarint(c.metrics_interval);
     encode_thermal(w, c.thermal);
     encode_governor(w, c.governor);
-    w.svarint(c.sim_workers);
+    w.svarint(0); // reserved: was the sim_workers count; always 0
     return w.take();
 }
 
@@ -223,7 +223,7 @@ decode_system_config(ByteReader &r, SystemConfig &c)
     c.metrics_interval = r.svarint();
     decode_thermal(r, c.thermal);
     decode_governor(r, c.governor);
-    c.sim_workers = int(r.svarint());
+    r.svarint(); // reserved (sim_workers); ignored
     c.faults.reset(); // FALT section reinstalls a recorded plan
 }
 
@@ -245,7 +245,7 @@ encode_multi_config(const MultiSurfaceConfig &c,
     w.u8(c.forensics ? 1 : 0);
     w.svarint(c.metrics_interval);
     w.u8(c.shared_gpu ? 1 : 0);
-    w.svarint(c.sim_workers);
+    w.svarint(0); // reserved: was the sim_workers count; always 0
     w.varint(surfaces.size());
     for (const SurfaceCapture &s : surfaces) {
         w.str(s.name);
@@ -275,7 +275,7 @@ decode_multi_config(ByteReader &r, MultiSurfaceConfig &c,
     c.forensics = read_bool(r, "forensics");
     c.metrics_interval = r.svarint();
     c.shared_gpu = read_bool(r, "shared_gpu");
-    c.sim_workers = int(r.svarint());
+    r.svarint(); // reserved (sim_workers); ignored
     c.faults.reset();
     const std::uint64_t n = r.count(8);
     surfaces.clear();

@@ -151,9 +151,7 @@ struct SessionCapture {
 
     /**
      * The recorded SystemConfig, fault plan included (shared_ptr rebuilt
-     * on load via FaultPlan::from_windows). sim_workers is recorded as
-     * run; replay may override it — dispatch is byte-identical at any
-     * worker count, so the override preserves the verbatim contract.
+     * on load via FaultPlan::from_windows).
      */
     SystemConfig config;
     ScenarioCapture scenario;

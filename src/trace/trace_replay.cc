@@ -97,15 +97,11 @@ replay_session(const SessionCapture &cap, const ReplayOptions &opts)
         SystemConfig cfg = cap.config;
         if (opts.mode)
             cfg.mode = *opts.mode;
-        if (opts.sim_workers >= 0)
-            cfg.sim_workers = opts.sim_workers;
         RenderSystem sys(cfg, build_scenario(cap.scenario));
         result.report = sys.run();
         result.dispatch_hash = sys.sim().events().dispatch_hash();
     } else {
-        MultiSurfaceConfig cfg = cap.multi_config;
-        if (opts.sim_workers >= 0)
-            cfg.sim_workers = opts.sim_workers;
+        const MultiSurfaceConfig &cfg = cap.multi_config;
         std::vector<SurfaceDesc> descs = build_surfaces(cap);
         if (opts.mode) {
             if (*opts.mode == RenderMode::kPaced)
@@ -118,8 +114,6 @@ replay_session(const SessionCapture &cap, const ReplayOptions &opts)
         result.report = sys.run();
         result.dispatch_hash = sys.sim().events().dispatch_hash();
     }
-    // A sim_workers override alone keeps the contract: lane dispatch is
-    // byte-identical to serial at any worker count.
     result.verbatim = cap.verbatim && !opts.mode;
     return result;
 }

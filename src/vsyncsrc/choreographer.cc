@@ -24,7 +24,7 @@ Choreographer::post_frame_callback()
             ++delivered_;
             callback_(sw);
         },
-        lane_);
+        tag_);
 }
 
 } // namespace dvs

@@ -43,12 +43,10 @@ class Choreographer
     void post_frame_callback();
 
     /**
-     * Event lane this choreographer's deliveries belong to (the owning
-     * producer's lane). Forwarded with every vsync request so per-lane
-     * delivery can tag the delivery event.
+     * Event tag of the owning producer. Forwarded with every vsync
+     * request so per-tag delivery can tag the delivery event.
      */
-    void set_lane(LaneId lane) { lane_ = lane; }
-    LaneId lane() const { return lane_; }
+    void set_event_tag(EventTag tag) { tag_ = tag; }
 
     /** Whether a callback is armed for the next vsync. */
     bool armed() const { return armed_; }
@@ -60,7 +58,7 @@ class Choreographer
     VsyncDistributor &dist_;
     VsyncChannel channel_;
     FrameCallback callback_;
-    LaneId lane_ = kSharedLane;
+    EventTag tag_ = kSharedTag;
     bool armed_ = false;
     std::uint64_t delivered_ = 0;
 };

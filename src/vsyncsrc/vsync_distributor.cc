@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "sim/lane.h"
 #include "sim/logging.h"
 
 namespace dvs {
@@ -29,25 +28,9 @@ VsyncDistributor::offset(VsyncChannel ch) const
 
 void
 VsyncDistributor::request_callback(VsyncChannel ch, Callback fn,
-                                   LaneId lane)
+                                   EventTag tag)
 {
-    // The distributor is shared state; a request issued during parallel
-    // lane execution is deferred to the barrier, where deferred ports
-    // are applied in the canonical serial dispatch order — so the batch
-    // a later edge delivers carries the requests in the same order a
-    // serial run would have appended them. The lane is passed explicitly
-    // (not read from the ambient scope): serial dispatch does not set
-    // ambient lanes, and the request's lane must be identical in serial
-    // and parallel runs for the delivery structure to match.
-    if (LaneExecContext *ctx = current_lane_ctx()) {
-        lane_defer_port(*ctx,
-                        [this, ch, lane, fn = std::move(fn)]() mutable {
-                            pending_[int(ch)].push_back(
-                                Pending{lane, std::move(fn)});
-                        });
-        return;
-    }
-    pending_[int(ch)].push_back(Pending{lane, std::move(fn)});
+    pending_[int(ch)].push_back(Pending{tag, std::move(fn)});
 }
 
 std::size_t
@@ -74,13 +57,6 @@ VsyncDistributor::deliver(const SwVsync &sw, std::uint32_t batch)
     for (std::size_t k = 0; k < batches_[batch].size(); ++k)
         batches_[batch][k].fn(sw);
     batches_[batch].clear();
-    // The free list is shared state: a per-lane delivery running inside
-    // a parallel lane window returns its slot at the barrier.
-    if (LaneExecContext *ctx = current_lane_ctx()) {
-        lane_defer_port(*ctx,
-                        [this, batch] { free_batches_.push_back(batch); });
-        return;
-    }
     free_batches_.push_back(batch);
 }
 
@@ -98,7 +74,7 @@ VsyncDistributor::on_edge(const VsyncEdge &edge)
         const Time deliver_at = edge.timestamp + offsets_[ch];
         const SwVsync sw{edge.timestamp, deliver_at, edge.index,
                          edge.rate_hz};
-        if (!per_lane_delivery_) {
+        if (!per_tag_delivery_) {
             const std::uint32_t b = acquire_batch();
             batches_[b].swap(requests); // requests takes the spare vector
             sim_.events().schedule(
@@ -106,26 +82,24 @@ VsyncDistributor::on_edge(const VsyncEdge &edge)
                 EventPriority::kVsyncDist);
             continue;
         }
-        // Per-lane fan-out: one delivery event per requester lane, in
-        // order of first request, each tagged with its lane so the
-        // parallel dispatcher can run the surfaces' frame starts
-        // concurrently. Request order is preserved within a lane.
-        lane_order_.clear();
+        // Per-tag fan-out: one delivery event per requester tag, in
+        // order of first request, each carrying its tag. Request order
+        // is preserved within a tag.
+        tag_order_.clear();
         for (const Pending &p : requests) {
-            if (std::find(lane_order_.begin(), lane_order_.end(),
-                          p.lane) == lane_order_.end())
-                lane_order_.push_back(p.lane);
+            if (std::find(tag_order_.begin(), tag_order_.end(), p.tag) ==
+                tag_order_.end())
+                tag_order_.push_back(p.tag);
         }
-        for (LaneId lane : lane_order_) {
+        for (EventTag tag : tag_order_) {
             const std::uint32_t b = acquire_batch();
             for (Pending &p : requests) {
-                if (p.lane == lane)
+                if (p.tag == tag)
                     batches_[b].push_back(std::move(p));
             }
-            LaneScope scope(lane);
             sim_.events().schedule(
                 deliver_at, [this, sw, b] { deliver(sw, b); },
-                EventPriority::kVsyncDist);
+                EventPriority::kVsyncDist, tag);
         }
         requests.clear();
     }

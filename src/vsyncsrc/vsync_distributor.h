@@ -18,7 +18,6 @@
 
 #include "display/hw_vsync.h"
 #include "sim/inline_function.h"
-#include "sim/lane.h"
 #include "sim/simulator.h"
 #include "vsyncsrc/vsync_model.h"
 
@@ -58,25 +57,23 @@ class VsyncDistributor
     /**
      * Request a single callback at the next delivery of @p ch. Requests
      * made at the exact delivery time of an edge wait for the next edge.
-     * @p lane is the requester's event lane: under per-lane delivery the
-     * callback rides a delivery event tagged with that lane, so a
-     * surface's frame work executes on its own lane between barriers.
+     * @p tag is the requester's event tag: under per-tag delivery the
+     * callback rides a delivery event tagged with it.
      */
     void request_callback(VsyncChannel ch, Callback fn,
-                          LaneId lane = kSharedLane);
+                          EventTag tag = kSharedTag);
 
     /**
-     * Fan each edge out as one delivery event *per requester lane*
+     * Fan each edge out as one delivery event *per requester tag*
      * instead of one combined event per channel. Same deliveries at the
-     * same times; only the batching (and thus the cross-surface callback
-     * interleaving at equal timestamps) changes, which is why this is a
-     * construction-time decision: the multi-surface system enables it
-     * exactly when surfaces are decoupled (private GPUs), where the
-     * interleaving is unobservable — and it must be identical between
-     * serial and parallel runs of the same config (DESIGN.md §5g).
+     * same times; only the batching (and thus the event count, sequence
+     * numbers and cross-surface callback interleaving at equal
+     * timestamps) changes, which is why this is a construction-time
+     * decision: the multi-surface system enables it exactly when
+     * surfaces are decoupled (private GPUs), where the interleaving is
+     * unobservable.
      */
-    void set_per_lane_delivery(bool on) { per_lane_delivery_ = on; }
-    bool per_lane_delivery() const { return per_lane_delivery_; }
+    void set_per_tag_delivery(bool on) { per_tag_delivery_ = on; }
 
     /** Number of outstanding requests on a channel (for tests). */
     std::size_t pending(VsyncChannel ch) const;
@@ -85,9 +82,9 @@ class VsyncDistributor
     const VsyncModel &model() const { return model_; }
 
   private:
-    /** One outstanding request: callback plus its requester's lane. */
+    /** One outstanding request: callback plus its requester's tag. */
     struct Pending {
-        LaneId lane;
+        EventTag tag;
         Callback fn;
     };
 
@@ -105,8 +102,8 @@ class VsyncDistributor
     // reuse the same vectors instead of allocating new ones.
     std::vector<std::vector<Pending>> batches_;
     std::vector<std::uint32_t> free_batches_;
-    std::vector<LaneId> lane_order_; ///< per-lane fan-out scratch
-    bool per_lane_delivery_ = false;
+    std::vector<EventTag> tag_order_; ///< per-tag fan-out scratch
+    bool per_tag_delivery_ = false;
 };
 
 } // namespace dvs

@@ -133,11 +133,11 @@ DevicePopulation::session(std::uint64_t index) const
 }
 
 Experiment
-DevicePopulation::experiment(std::uint64_t index, int sim_workers) const
+DevicePopulation::experiment(std::uint64_t index) const
 {
     SessionSpec spec = session(index);
     Experiment point;
-    point.config = spec.config.with_sim_workers(sim_workers);
+    point.config = std::move(spec.config);
     point.scenario = std::move(spec.scenario);
     point.label = std::move(spec.label);
     return point;

@@ -1,9 +1,10 @@
 /**
  * @file
  * Trace record/replay tests: .dvst byte-level io, capture round trips,
- * the bit-exact replay contract (both pacing modes, 1/2/4 sim workers),
- * trace transforms, and strict-loader behavior on corrupt, truncated,
- * and version-skewed files (including a per-byte mutation fuzz loop).
+ * the bit-exact replay contract (both pacing modes, single- and
+ * multi-surface), trace transforms, and strict-loader behavior on
+ * corrupt, truncated, and version-skewed files (including a per-byte
+ * mutation fuzz loop).
  */
 
 #include <gtest/gtest.h>
@@ -294,17 +295,12 @@ TEST(Replay, SingleSessionBitExactBothModesAndWorkerCounts)
         ASSERT_TRUE(SessionCapture::decode(cap.encode(), loaded, error))
             << error;
 
-        for (int workers : {1, 2, 4}) {
-            SCOPED_TRACE(std::string(to_string(mode)) + "/workers=" +
-                         std::to_string(workers));
-            ReplayOptions opts;
-            opts.sim_workers = workers;
-            const ReplayResult replay = replay_session(loaded, opts);
-            EXPECT_TRUE(replay.verbatim);
-            EXPECT_EQ(replay.verify_against(loaded), "");
-            EXPECT_EQ(replay.dispatch_hash, cap.source_dispatch_hash);
-            EXPECT_EQ(replay.report, recorded); // field-by-field
-        }
+        SCOPED_TRACE(to_string(mode));
+        const ReplayResult replay = replay_session(loaded);
+        EXPECT_TRUE(replay.verbatim);
+        EXPECT_EQ(replay.verify_against(loaded), "");
+        EXPECT_EQ(replay.dispatch_hash, cap.source_dispatch_hash);
+        EXPECT_EQ(replay.report, recorded); // field-by-field
     }
 }
 
@@ -316,14 +312,9 @@ TEST(Replay, MultiSurfaceSessionBitExact)
     std::string error;
     ASSERT_TRUE(SessionCapture::decode(cap.encode(), loaded, error))
         << error;
-    for (int workers : {1, 2, 4}) {
-        SCOPED_TRACE("workers=" + std::to_string(workers));
-        ReplayOptions opts;
-        opts.sim_workers = workers;
-        const ReplayResult replay = replay_session(loaded, opts);
-        EXPECT_EQ(replay.verify_against(loaded), "");
-        EXPECT_EQ(replay.report, recorded);
-    }
+    const ReplayResult replay = replay_session(loaded);
+    EXPECT_EQ(replay.verify_against(loaded), "");
+    EXPECT_EQ(replay.report, recorded);
 }
 
 TEST(Replay, ModeOverrideIsDeterministicButNotVerbatim)

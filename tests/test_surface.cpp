@@ -10,6 +10,7 @@
 
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "fault/fault_plan.h"
 #include "harness/experiment_runner.h"
@@ -65,6 +66,29 @@ two_aware_surfaces()
             .with_buffer_mb(10.0)
             .with_weight(1.0),
     };
+}
+
+/**
+ * Four surfaces with unequal loads, one of them vsync-paced, staggered
+ * starts: the private-GPU dispatch pin below runs this roster.
+ */
+std::vector<SurfaceDesc>
+four_mixed_surfaces()
+{
+    std::vector<SurfaceDesc> descs;
+    for (int i = 0; i < 4; ++i) {
+        SurfaceDesc d;
+        d.name = "s" + std::to_string(i);
+        d.scenario = i % 2 == 0
+                         ? heavy_scenario(d.name, 11 + std::uint64_t(i))
+                         : light_scenario(d.name);
+        d.dvsync_aware = i != 1;
+        d.buffer_mb = 10.0 + double(i);
+        d.weight = 1.0 + double(i % 3);
+        d.start_at = Time(i) * 20_ms;
+        descs.push_back(std::move(d));
+    }
+    return descs;
 }
 
 } // namespace
@@ -143,6 +167,23 @@ TEST(MultiSurface, DeterministicReplay)
     const RunReport b = session();
     EXPECT_EQ(a, b);
     EXPECT_EQ(a.debug_string(), b.debug_string());
+}
+
+TEST(MultiSurface, PrivateGpuDispatchIsPinned)
+{
+    // With private GPUs every vsync edge is delivered as one event per
+    // surface, each carrying its surface's tag; no golden, corpus entry
+    // or benchmark workload runs this topology, so its event count and
+    // dispatch hash are pinned here.
+    MultiSurfaceSystem sys(four_mixed_surfaces(),
+                           MultiSurfaceConfig()
+                               .with_budget_mb(30.0)
+                               .with_shared_gpu(false));
+    const RunReport r = sys.run();
+    EXPECT_EQ(r.error, "");
+    EXPECT_EQ(r.invariant_violations, 0u);
+    EXPECT_EQ(sys.sim().events().dispatched(), 464u);
+    EXPECT_EQ(sys.sim().events().dispatch_hash(), 0x4e1f36ef91439dfaULL);
 }
 
 // ----- arbitration under contention ---------------------------------------
