@@ -6,6 +6,7 @@
 #include <cstring>
 
 #include "sim/logging.h"
+#include "sim/tracing.h"
 
 namespace dvs::bench {
 
@@ -243,7 +244,7 @@ void
 BenchJson::str(const char *name, const std::string &value)
 {
     key(name);
-    body_ += "\"" + value + "\"";
+    body_ += "\"" + json_escape(value) + "\"";
 }
 
 void

@@ -4,14 +4,17 @@
  *
  * Every figure and table of the reproduction is driven by the
  * discrete-event core, so its per-event cost bounds the wall-clock of
- * every sweep. This bench pins that cost from three angles:
+ * every sweep. This bench pins that cost from four angles:
  *
  *  1. A cancel-heavy schedule/cancel/fire mix (the watchdog/timeout
  *     pattern: a ring of outstanding timers that are mostly re-armed
  *     before they fire).
  *  2. A pure schedule/fire chain mix (the simulator's steady-state
  *     pattern).
- *  3. A full fig11-style app sweep timed end-to-end through the
+ *  3. A timeline mix shaped like a 48-swipe sweep session: a timeline
+ *     of ascending far-future boundaries scheduled up front, then a
+ *     near self-rescheduling chain running through it.
+ *  4. A full fig11-style app sweep timed end-to-end through the
  *     ExperimentRunner (independent sessions on --jobs workers) — the
  *     macro number that the micro numbers exist to explain.
  *
@@ -126,6 +129,47 @@ chain_mix(EventQueue &q, int events, int width, std::uint64_t &fired)
     return checksum;
 }
 
+/**
+ * Timeline mix, the shape of a sweep session: each round schedules
+ * `segments` ascending boundaries up front, as Producer::start schedules
+ * a scenario's segment timeline, then a vsync-like chain (each tick
+ * schedules the next, one jittered period later) runs until the round's
+ * last boundary. About 33 events per boundary.
+ */
+std::uint64_t
+timeline_mix(EventQueue &q, int events, int segments, std::uint64_t &fired)
+{
+    constexpr Time kPeriod = 16'667;
+    constexpr Time kBoundaryGap = 32 * kPeriod;
+    const int rounds = std::max(1, events / (33 * segments));
+    std::uint64_t checksum = 0xcbf29ce484222325ULL;
+    const auto fold = [&](std::uint64_t tag) {
+        checksum = (checksum ^ tag) * 0x100000001b3ULL;
+        checksum = (checksum ^ std::uint64_t(q.now())) * 0x100000001b3ULL;
+        ++fired;
+    };
+    Lcg rng{7};
+    Time round_end = 0;
+    std::function<void()> tick = [&] {
+        fold(~std::uint64_t(0));
+        const Time next = q.now() + kPeriod - 32 + Time(rng.next() % 64);
+        if (next < round_end)
+            q.schedule(next, [&tick] { tick(); }, EventPriority::kVsyncDist);
+    };
+    for (int r = 0; r < rounds; ++r) {
+        const Time base = q.now();
+        round_end = base + Time(segments) * kBoundaryGap;
+        for (int s = 1; s <= segments; ++s) {
+            q.schedule(base + Time(s) * kBoundaryGap,
+                       [&fold, s] { fold(std::uint64_t(s)); },
+                       EventPriority::kSegment);
+        }
+        q.schedule(base + 1, [&tick] { tick(); }, EventPriority::kVsyncDist);
+        q.run();
+    }
+    return checksum;
+}
+
 /** The fig11 app sweep (uncalibrated), as one ExperimentRunner batch. */
 std::vector<Experiment>
 fig11_sweep_points()
@@ -186,6 +230,14 @@ main(int argc, char **argv)
     const std::uint64_t chain_sum =
         chain_mix(q_chain, events, 256, chain_fired);
     const double chain_ms = ms_since(t0);
+
+    // ---- sweep-shaped timeline mix -------------------------------------
+    std::uint64_t timeline_fired = 0;
+    t0 = std::chrono::steady_clock::now();
+    EventQueue q_timeline;
+    const std::uint64_t timeline_sum =
+        timeline_mix(q_timeline, events, 100, timeline_fired);
+    const double timeline_ms = ms_since(t0);
 
     // ---- macro: fig11 sweep through the ExperimentRunner ---------------
     const std::vector<Experiment> points = fig11_sweep_points();
@@ -251,6 +303,9 @@ main(int argc, char **argv)
                    TableReporter::num(1e6 * cancel_ms / double(events), 1)});
     table.add_row({"chain mix", TableReporter::num(chain_ms, 1),
                    TableReporter::num(1e6 * chain_ms / double(events), 1)});
+    table.add_row({"timeline mix", TableReporter::num(timeline_ms, 1),
+                   TableReporter::num(
+                       1e6 * timeline_ms / double(timeline_fired), 1)});
     table.print();
 
     std::printf("\nfig11 sweep: %zu runs in %.1f ms (%d jobs)\n",
@@ -273,6 +328,10 @@ main(int argc, char **argv)
                 (unsigned long long)chain_fired);
     std::printf("fig11 sweep fdps sum:             %.6f over %zu runs\n",
                 sweep_fdps, reports.size());
+    std::printf("dispatch checksum (timeline):     %016llx after %llu "
+                "events\n",
+                (unsigned long long)timeline_sum,
+                (unsigned long long)timeline_fired);
 
     if (out_path != "-") {
         bench::BenchJson record("perf_sim_core");
@@ -297,6 +356,15 @@ main(int argc, char **argv)
                       chain_ms, (unsigned long long)chain_fired,
                       (unsigned long long)chain_sum);
         record.raw("chain", jbuf);
+        std::snprintf(jbuf, sizeof(jbuf),
+                      "{\n"
+                      "    \"wall_ms\": %.3f,\n"
+                      "    \"dispatched\": %llu,\n"
+                      "    \"checksum\": \"%016llx\"\n"
+                      "  }",
+                      timeline_ms, (unsigned long long)timeline_fired,
+                      (unsigned long long)timeline_sum);
+        record.raw("timeline", jbuf);
         std::snprintf(jbuf, sizeof(jbuf),
                       "{\n"
                       "    \"runs\": %zu,\n"

@@ -144,8 +144,10 @@ fi
 echo "observatory smoke: 2-way merge byte-identical, top-K specimens bit-exact"
 
 # Observatory tax (plain build only — sanitizer timings are meaningless):
-# sessions/sec with the monitor on vs off, aggregator parity enforced,
-# wall-clock overhead within the 5% budget (nonzero exit otherwise).
+# thread CPU time of Observatory::consume over 50k pre-built fleet
+# reports against the CPU time of producing them, within the 5% budget,
+# and aggregator parity with the monitor on vs off (nonzero exit
+# otherwise).
 if [[ "$SANITIZE" == OFF ]]; then
     "$BUILD_DIR/bench/observatory_overhead" --out="BENCH_observatory.json"
 fi

@@ -444,9 +444,8 @@ RenderSystem::export_trace(TraceLog &log) const
             log.instant("display", "present", r.time);
         else if (r.drop)
             log.instant("display", "FRAME DROP", r.time);
-        log.counter("queued buffers", r.time,
-                    double(queue_->queued_count()));
     }
+    export_queue_depth(log, "queued buffers", producer_->records());
     // Flow events link each frame's slices across the tracks above, so
     // one frame can be followed UI -> render -> GPU -> queue -> display.
     forensics().export_flows(log);

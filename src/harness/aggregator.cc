@@ -7,6 +7,7 @@
 
 #include "obs/json_view.h"
 #include "sim/logging.h"
+#include "sim/tracing.h"
 
 namespace dvs {
 
@@ -305,7 +306,7 @@ CampaignAggregator::to_json() const
     out += buf;
     std::size_t i = 0;
     for (const auto &[key, c] : cohorts_) {
-        out += "    {\"key\": \"" + key + "\", ";
+        out += "    {\"key\": \"" + json_escape(key) + "\", ";
         std::snprintf(
             buf, sizeof(buf),
             "\"sessions\": %llu, \"errors\": %llu, \"drops\": %llu, "

@@ -1,9 +1,11 @@
 #include "obs/frame_forensics.h"
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <utility>
 
 #include "metrics/frame_stats.h"
 #include "obs/metrics_registry.h"
@@ -239,6 +241,28 @@ FrameForensics::save(const std::string &path,
         return false;
     }
     return true;
+}
+
+void
+export_queue_depth(TraceLog &log, const std::string &name,
+                   const std::vector<FrameRecord> &records)
+{
+    std::vector<std::pair<Time, int>> deltas;
+    for (const FrameRecord &rec : records) {
+        if (rec.queue_time == kTimeNone)
+            continue;
+        deltas.emplace_back(rec.queue_time, +1);
+        if (rec.present_time != kTimeNone)
+            deltas.emplace_back(rec.present_time, -1);
+    }
+    std::sort(deltas.begin(), deltas.end());
+    int depth = 0;
+    for (std::size_t k = 0; k < deltas.size(); ++k) {
+        depth += deltas[k].second;
+        if (k + 1 < deltas.size() && deltas[k + 1].first == deltas[k].first)
+            continue; // coalesce same-instant changes
+        log.counter(name, deltas[k].first, double(depth));
+    }
 }
 
 } // namespace dvs

@@ -30,6 +30,7 @@
 namespace dvs {
 
 class FrameStats;
+struct FrameRecord;
 class MetricsRegistry;
 class Producer;
 class TraceLog;
@@ -107,6 +108,15 @@ class FrameForensics
   private:
     std::vector<SurfaceForensics> surfaces_;
 };
+
+/**
+ * Write one surface's buffer-queue depth to @p log as samples of counter
+ * @p name, rebuilt from its frame records: a buffer occupies the queue
+ * from its queue_time until its latch (present_time). One sample per
+ * instant at which the depth changes.
+ */
+void export_queue_depth(TraceLog &log, const std::string &name,
+                        const std::vector<FrameRecord> &records);
 
 } // namespace dvs
 

@@ -11,6 +11,7 @@
 #include "core/render_system.h"
 #include "obs/json_view.h"
 #include "sim/logging.h"
+#include "sim/tracing.h"
 #include "trace/dvst_io.h"
 #include "trace/session_recorder.h"
 
@@ -345,15 +346,16 @@ Observatory::to_json() const
     out += buf;
     for (std::size_t i = 0; i < config_.slos.size(); ++i) {
         out += i ? ", " : "";
-        out += "\"" + config_.slos[i].name + "\"";
+        out += "\"" + json_escape(config_.slos[i].name) + "\"";
     }
     out += "],\n  \"cohorts\": [\n";
     std::size_t n = 0;
     for (const auto &[key, c] : cohorts_) {
+        out += "    {\"key\": \"" + json_escape(key) + "\", ";
         std::snprintf(buf, sizeof(buf),
-                      "    {\"key\": \"%s\", \"sessions\": %llu, "
-                      "\"errors\": %llu, \"violations\": [",
-                      key.c_str(), (unsigned long long)c.sessions,
+                      "\"sessions\": %llu, \"errors\": %llu, "
+                      "\"violations\": [",
+                      (unsigned long long)c.sessions,
                       (unsigned long long)c.errors);
         out += buf;
         for (std::size_t i = 0; i < c.violations.size(); ++i) {
@@ -370,11 +372,12 @@ Observatory::to_json() const
         std::snprintf(
             buf, sizeof(buf),
             "    {\"session\": %llu, \"score_milli\": %lld, "
-            "\"violated\": %llu, \"cohort\": \"%s\", \"label\": \"%s\", ",
+            "\"violated\": %llu, ",
             (unsigned long long)v.session, (long long)v.score_milli,
-            (unsigned long long)v.violated, v.cohort.c_str(),
-            v.label.c_str());
+            (unsigned long long)v.violated);
         out += buf;
+        out += "\"cohort\": \"" + json_escape(v.cohort) +
+               "\", \"label\": \"" + json_escape(v.label) + "\", ";
         std::snprintf(
             buf, sizeof(buf),
             "\"drops\": %llu, \"frames_due\": %lld, \"presents\": %llu, "
@@ -552,16 +555,18 @@ capture_specimens(const Observatory &obs,
         std::snprintf(
             buf, sizeof(buf),
             "    {\"rank\": %zu, \"file\": \"%s\", \"session\": %llu, "
-            "\"score_milli\": %lld, \"cohort\": \"%s\", "
-            "\"label\": \"%s\", \"slos\": [",
+            "\"score_milli\": %lld, ",
             r + 1, file.c_str(), (unsigned long long)v.session,
-            (long long)v.score_milli, v.cohort.c_str(), v.label.c_str());
+            (long long)v.score_milli);
         manifest += buf;
+        manifest += "\"cohort\": \"" + json_escape(v.cohort) +
+                    "\", \"label\": \"" + json_escape(v.label) +
+                    "\", \"slos\": [";
         bool first = true;
         for (std::size_t i = 0; i < obs.config().slos.size(); ++i) {
             if (v.violated & (std::uint32_t(1) << i)) {
                 manifest += first ? "\"" : ", \"";
-                manifest += obs.config().slos[i].name + "\"";
+                manifest += json_escape(obs.config().slos[i].name) + "\"";
                 first = false;
             }
         }

@@ -7,19 +7,37 @@
  * tick with the same priority run in the order they were scheduled.
  *
  * Complexity guarantees (the simulator's hot path — see DESIGN.md):
- *  - schedule():        O(log n) heap push, O(1) callback storage
- *  - cancel():          O(1) slot lookup + amortized O(log n) pruning
- *  - dispatch:          O(log n) heap pop, O(1) callback lookup
+ *  - schedule():        O(1) append to the sorted run when the event
+ *                       orders after every run entry, else O(log h)
+ *                       heap push; O(1) callback storage
+ *  - cancel():          O(1) slot lookup + amortized O(log h) pruning
+ *  - dispatch:          O(1) compare of the two fronts, then an O(1)
+ *                       run pop or an O(log h) heap pop
  *  - next_event_time(): O(1), never reports a cancelled event
+ *
+ * Pending entries live in two containers. The *run* is a vector kept in
+ * ascending (when, prio, seq) order: an entry that orders after the
+ * run's last entry is appended to it. Every other entry goes to a
+ * binary min-heap, so h counts only the out-of-order entries. A scenario
+ * schedules its whole segment timeline up front, in order, so on a
+ * 48-swipe app script those ~49 far-future boundaries (98 at most) sit
+ * in the run instead of the heap, whose size drops to a few near-term
+ * vsync and pipeline events; the heap-only queue averaged ~49 entries
+ * there against 2.9 on a 1 s fleet session. Dispatch takes the smaller
+ * of the two fronts, so the order is the same strict total order as a
+ * single heap. The run's consumed prefix is reclaimed with an amortized
+ * erase once it reaches half the vector, so two chains that keep
+ * scheduling past each other cannot grow it without bound.
  *
  * Callback storage is a slot map: an EventId encodes {slot index,
  * generation}, so lookup is an array index plus a generation check, and
  * cancelled slots are recycled through a free list immediately (memory is
  * bounded by the maximum number of *concurrently pending* events, not by
- * the total scheduled over a run). Heap entries of cancelled events are
- * skipped lazily at dispatch; dead entries at the top are pruned eagerly
- * on cancel, and the heap is compacted whenever dead entries outnumber
- * live ones, so cancel-heavy workloads stay O(live) in memory too.
+ * the total scheduled over a run). Entries of cancelled events are
+ * skipped lazily at dispatch; dead entries at either front are pruned
+ * eagerly on cancel and dispatch, and both containers are compacted
+ * whenever dead entries outnumber live ones, so cancel-heavy workloads
+ * stay O(live) in memory too.
  */
 
 #ifndef DVS_SIM_EVENT_QUEUE_H
@@ -121,9 +139,16 @@ class EventQueue
     std::size_t pending() const { return live_count_; }
 
     /**
+     * Entries held by the heap and the run, counting cancelled entries
+     * not yet pruned and the run's consumed prefix not yet reclaimed.
+     * Stays O(pending); tests pin that bound.
+     */
+    std::size_t stored_entries() const { return heap_.size() + run_.size(); }
+
+    /**
      * Time of the earliest pending event, or kTimeNone when empty.
-     * Cancelled events are never reported: cancel() eagerly prunes dead
-     * entries off the top of the heap.
+     * Cancelled events are never reported: cancel() and dispatch eagerly
+     * prune dead entries off both fronts.
      */
     Time next_event_time() const;
 
@@ -149,13 +174,14 @@ class EventQueue
     std::uint64_t dispatch_hash() const { return dispatch_hash_; }
 
     /**
-     * Pre-size the slot map and heap (data-layout hint for runs with a
-     * known pending-event ceiling; avoids growth reallocations on the
-     * hot path).
+     * Pre-size the slot map, heap and run (data-layout hint for runs
+     * with a known pending-event ceiling; avoids growth reallocations on
+     * the hot path).
      */
     void reserve(std::size_t events)
     {
         heap_.reserve(events);
+        run_.reserve(events);
         slots_.reserve(events);
     }
 
@@ -209,6 +235,10 @@ class EventQueue
     bool is_live(EventId id) const;
     std::uint32_t acquire_slot(Callback fn);
     Callback release_slot(std::uint32_t slot);
+    bool run_front_first() const;
+    void pop_run_front();
+    void prune_heap_top();
+    void prune_run_front();
     void prune_dead_top();
     void maybe_compact();
 
@@ -227,9 +257,13 @@ class EventQueue
     // vector (rather than std::priority_queue) so compaction can filter
     // dead entries in place.
     std::vector<Entry> heap_;
+    // Ascending (when, prio, seq) run; run_[run_head_] is its front and
+    // the entries before it are consumed, awaiting reclamation.
+    std::vector<Entry> run_;
+    std::size_t run_head_ = 0;
     std::vector<Slot> slots_;
     std::uint32_t free_head_ = kNullSlot;
-    std::size_t heap_dead_ = 0; ///< cancelled entries still in heap_
+    std::size_t dead_ = 0; ///< cancelled entries still in heap_ or run_
 
     Time now_ = 0;
     std::uint64_t next_seq_ = 0;

@@ -8,16 +8,9 @@
 #include "sim/logging.h"
 
 namespace dvs {
-namespace {
 
-/**
- * JSON string escaping. Track and event names come from workload and
- * surface declarations, so any byte can show up here; control characters
- * must be escaped or the exported trace is not valid JSON (RFC 8259
- * forbids raw U+0000..U+001F inside strings).
- */
 std::string
-escape(const std::string &s)
+json_escape(const std::string &s)
 {
     std::string out;
     out.reserve(s.size());
@@ -58,8 +51,6 @@ escape(const std::string &s)
     }
     return out;
 }
-
-} // namespace
 
 int
 TraceLog::track_id(const std::string &track)
@@ -159,7 +150,7 @@ TraceLog::to_json() const
                       "{\"ph\":\"M\",\"pid\":1,\"tid\":%zu,"
                       "\"name\":\"thread_name\",\"args\":{\"name\":"
                       "\"%s\"}},\n",
-                      i + 1, escape(tracks_[i]).c_str());
+                      i + 1, json_escape(tracks_[i]).c_str());
         out += buf;
     }
 
@@ -171,20 +162,20 @@ TraceLog::to_json() const
             std::snprintf(buf, sizeof(buf),
                           "{\"ph\":\"X\",\"pid\":1,\"tid\":%d,"
                           "\"name\":\"%s\",\"ts\":%.3f,\"dur\":%.3f}",
-                          e.tid, escape(e.name).c_str(), ts,
+                          e.tid, json_escape(e.name).c_str(), ts,
                           to_us(e.duration));
             break;
           case 'i':
             std::snprintf(buf, sizeof(buf),
                           "{\"ph\":\"i\",\"pid\":1,\"tid\":%d,"
                           "\"name\":\"%s\",\"ts\":%.3f,\"s\":\"t\"}",
-                          e.tid, escape(e.name).c_str(), ts);
+                          e.tid, json_escape(e.name).c_str(), ts);
             break;
           case 'C':
             std::snprintf(buf, sizeof(buf),
                           "{\"ph\":\"C\",\"pid\":1,\"name\":\"%s\","
                           "\"ts\":%.3f,\"args\":{\"value\":%g}}",
-                          escape(e.name).c_str(), ts, e.value);
+                          json_escape(e.name).c_str(), ts, e.value);
             break;
           case 's':
           case 't':
@@ -192,7 +183,7 @@ TraceLog::to_json() const
                           "{\"ph\":\"%c\",\"pid\":1,\"tid\":%d,"
                           "\"name\":\"%s\",\"cat\":\"frame\","
                           "\"id\":%llu,\"ts\":%.3f}",
-                          e.phase, e.tid, escape(e.name).c_str(),
+                          e.phase, e.tid, json_escape(e.name).c_str(),
                           (unsigned long long)e.id, ts);
             break;
           case 'f':
@@ -201,7 +192,7 @@ TraceLog::to_json() const
                           "{\"ph\":\"f\",\"pid\":1,\"tid\":%d,"
                           "\"name\":\"%s\",\"cat\":\"frame\","
                           "\"id\":%llu,\"bp\":\"e\",\"ts\":%.3f}",
-                          e.tid, escape(e.name).c_str(),
+                          e.tid, json_escape(e.name).c_str(),
                           (unsigned long long)e.id, ts);
             break;
         }

@@ -25,6 +25,16 @@
 namespace dvs {
 
 /**
+ * Escape @p s for use inside a JSON string literal (without the quotes).
+ * Names and labels come from workload and surface declarations, so any
+ * byte can show up in them; quotes, backslashes and control characters
+ * must be escaped or the output is not valid JSON (RFC 8259 forbids raw
+ * U+0000..U+001F inside strings). Every JSON writer in the project
+ * escapes its strings through this one function.
+ */
+std::string json_escape(const std::string &s);
+
+/**
  * Collects trace events during a run and serializes them as Chrome
  * trace-event JSON.
  */

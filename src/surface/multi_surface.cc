@@ -472,26 +472,8 @@ MultiSurfaceSystem::export_trace(TraceLog &log) const
                 log.instant(prefix + "display", "FRAME DROP", ref.time);
         }
 
-        // Queue-depth counter reconstructed from the frame records: a
-        // buffer occupies the FIFO from queue_time until its latch.
-        std::vector<std::pair<Time, int>> deltas;
-        for (const FrameRecord &rec : s.producer->records()) {
-            if (rec.queue_time == kTimeNone)
-                continue;
-            deltas.emplace_back(rec.queue_time, +1);
-            if (rec.present_time != kTimeNone)
-                deltas.emplace_back(rec.present_time, -1);
-        }
-        std::sort(deltas.begin(), deltas.end());
-        int depth = 0;
-        for (std::size_t k = 0; k < deltas.size(); ++k) {
-            depth += deltas[k].second;
-            if (k + 1 < deltas.size() &&
-                deltas[k + 1].first == deltas[k].first)
-                continue; // coalesce same-instant changes
-            log.counter("queue depth " + s.desc.name, deltas[k].first,
-                        double(depth));
-        }
+        export_queue_depth(log, "queue depth " + s.desc.name,
+                           s.producer->records());
     }
 
     // Flow events: follow one frame across its surface's tracks.

@@ -170,6 +170,33 @@ TEST(CampaignAggregator, CheckpointRoundTripsExactly)
     std::remove(path.c_str());
 }
 
+TEST(CampaignAggregator, CheckpointEscapesCohortKeys)
+{
+    // A cohort key holding JSON's special characters must be escaped in
+    // the checkpoint and round-trip through load() byte-identically.
+    const std::string odd = "say \"hi\" \\ back\nslash\x01";
+    CampaignAggregator agg;
+    for (std::uint64_t i = 0; i < 30; ++i) {
+        RunReport r = synthetic_report(i);
+        if (i % 2 == 0)
+            r.label = odd;
+        agg.add(r);
+    }
+    const std::string json = agg.to_json();
+    EXPECT_NE(json.find("say \\\"hi\\\" \\\\ back\\nslash\\u0001"),
+              std::string::npos)
+        << json;
+
+    const std::string path = temp_path("escape");
+    ASSERT_TRUE(agg.save(path));
+    CampaignAggregator loaded;
+    std::string error;
+    ASSERT_TRUE(loaded.load(path, &error)) << error;
+    EXPECT_EQ(loaded.to_json(), json);
+    EXPECT_EQ(loaded.cohorts().count(odd), 1u);
+    std::remove(path.c_str());
+}
+
 TEST(CampaignAggregator, LoadRejectsSchemaMismatchAndGarbage)
 {
     const std::string path = temp_path("badschema");

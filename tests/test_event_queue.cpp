@@ -8,7 +8,10 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <memory>
+#include <set>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -238,45 +241,224 @@ TEST(EventQueue, CancelHeavyChurnStaysBoundedAndConsistent)
     EXPECT_EQ(q.next_event_time(), kTimeNone);
 }
 
+namespace {
+
+const EventPriority kAllPrios[] = {
+    EventPriority::kDisplay, EventPriority::kVsyncDist,
+    EventPriority::kPipeline, EventPriority::kDefault,
+    EventPriority::kMetrics};
+
+/** xorshift64: a fixed pseudo-random stream for the model tests. */
+std::uint64_t
+xorshift(std::uint64_t &state)
+{
+    state ^= state << 13;
+    state ^= state >> 7;
+    state ^= state << 17;
+    return state;
+}
+
+} // namespace
+
 TEST(EventQueue, DispatchOrderMatchesStableSortModel)
 {
-    // Determinism pin for the storage rewrite: the queue must dispatch a
+    // Determinism pin for the storage: the queue must dispatch a
     // pseudo-random workload in exactly (time, priority,
     // insertion-sequence) order — the same order a stable sort of the
-    // schedule calls produces.
+    // surviving schedule calls produces. Ascending far-future batches
+    // (a scenario's up-front segment timeline) land in the sorted run,
+    // random near-term schedules in the heap. Cancels hit both, the
+    // run's front included, and are numerous enough to compact both.
     struct Scheduled {
         Time when;
         int prio;
         int tag;
+        EventId id;
+        bool cancelled;
     };
-    const EventPriority prios[] = {
-        EventPriority::kDisplay, EventPriority::kVsyncDist,
-        EventPriority::kPipeline, EventPriority::kDefault,
-        EventPriority::kMetrics};
 
     EventQueue q;
     std::vector<Scheduled> model;
     std::vector<int> fired;
     std::uint64_t rng = 0x2545f4914f6cdd1dULL;
-    for (int tag = 0; tag < 2000; ++tag) {
-        rng ^= rng << 13;
-        rng ^= rng >> 7;
-        rng ^= rng << 17;
-        const Time when = Time(rng % 101);
-        const EventPriority prio = prios[(rng >> 32) % 5];
-        model.push_back(Scheduled{when, int(prio), tag});
-        q.schedule(when, [&fired, tag] { fired.push_back(tag); }, prio);
+    const auto add = [&](Time when, EventPriority prio) {
+        const int tag = int(model.size());
+        const EventId id =
+            q.schedule(when, [&fired, tag] { fired.push_back(tag); }, prio);
+        model.push_back(Scheduled{when, int(prio), tag, id, false});
+    };
+    const auto cancel = [&](Scheduled &s) {
+        EXPECT_TRUE(q.cancel(s.id));
+        s.cancelled = true;
+        // Compaction keeps dead entries at most as many as the live
+        // ones (or at most 64) across both containers, and the run's
+        // consumed prefix is never longer than the rest of the run.
+        EXPECT_LE(q.stored_entries(),
+                  2 * std::max(2 * q.pending(), q.pending() + 64));
+    };
+
+    Time batch_at = 1000;
+    for (int i = 0; i < 2000; ++i) {
+        const std::uint64_t r = xorshift(rng);
+        add(Time(r % 101), kAllPrios[(r >> 32) % 5]);
+        if (i % 100 == 0) {
+            for (int k = 0; k < 20; ++k) {
+                const std::uint64_t b = xorshift(rng);
+                batch_at += 1 + Time(b % 40);
+                add(batch_at, kAllPrios[(b >> 32) % 5]);
+            }
+        }
     }
-    std::stable_sort(model.begin(), model.end(),
+
+    // The first schedule went to the empty run, so it is the run's front;
+    // the first batch entry is the front of the far-future timeline.
+    cancel(model[0]);
+    cancel(model[1]);
+    for (Scheduled &s : model) {
+        if (!s.cancelled && xorshift(rng) % 10 != 0)
+            cancel(s);
+    }
+
+    std::vector<Scheduled> expected;
+    for (const Scheduled &s : model) {
+        if (!s.cancelled)
+            expected.push_back(s);
+    }
+    std::stable_sort(expected.begin(), expected.end(),
                      [](const Scheduled &a, const Scheduled &b) {
                          if (a.when != b.when)
                              return a.when < b.when;
                          return a.prio < b.prio;
                      });
+    EXPECT_EQ(q.pending(), expected.size());
+    EXPECT_EQ(q.next_event_time(), expected.front().when);
     q.run();
-    ASSERT_EQ(fired.size(), model.size());
-    for (std::size_t i = 0; i < model.size(); ++i)
-        EXPECT_EQ(fired[i], model[i].tag) << "at dispatch index " << i;
+    ASSERT_EQ(fired.size(), expected.size());
+    for (std::size_t i = 0; i < expected.size(); ++i)
+        EXPECT_EQ(fired[i], expected[i].tag) << "at dispatch index " << i;
+}
+
+TEST(EventQueue, InterleavedSchedulingMatchesReferenceOrder)
+{
+    // Events scheduled and cancelled from callbacks: each fired event
+    // schedules near-term work (which lands in the heap), sometimes
+    // appends an ascending far-future batch (the run) and sometimes
+    // cancels an earlier event. Dispatch order and next_event_time()
+    // must match an ordered-set reference of (when, prio, seq) keys.
+    using Key = std::tuple<Time, int, std::uint64_t>;
+    EventQueue q;
+    std::set<Key> model;
+    std::vector<std::pair<EventId, Key>> issued;
+    std::uint64_t rng = 0x9e3779b97f4a7c15ULL;
+    std::uint64_t order_errors = 0, next_time_errors = 0;
+    Time batch_at = 0;
+
+    std::function<void(Time, EventPriority)> add;
+    const auto on_fire = [&](const Key &key) {
+        if (model.empty() || *model.begin() != key)
+            ++order_errors;
+        model.erase(key);
+        if (issued.size() < 40'000) {
+            const std::uint64_t r = xorshift(rng);
+            add(q.now() + Time(r % 50), kAllPrios[(r >> 8) % 5]);
+            if (r % 7 == 0)
+                add(q.now() + Time((r >> 16) % 50), kAllPrios[r % 5]);
+            if (r % 97 == 0) {
+                batch_at = std::max(batch_at, q.now() + 50);
+                for (int k = 0; k < 30; ++k) {
+                    const std::uint64_t b = xorshift(rng);
+                    batch_at += 1 + Time(b % 40);
+                    add(batch_at, kAllPrios[(b >> 32) % 5]);
+                }
+            }
+            if (r % 5 == 0) {
+                const auto &[id, victim] =
+                    issued[std::size_t(xorshift(rng) % issued.size())];
+                if (q.cancel(id))
+                    model.erase(victim);
+            }
+        }
+        const Time expect_next =
+            model.empty() ? kTimeNone : std::get<0>(*model.begin());
+        if (q.next_event_time() != expect_next)
+            ++next_time_errors;
+    };
+    std::uint64_t seq = 0;
+    add = [&](Time when, EventPriority prio) {
+        const Key key{when, int(prio), seq++};
+        const EventId id =
+            q.schedule(when, [&on_fire, key] { on_fire(key); }, prio);
+        model.insert(key);
+        issued.emplace_back(id, key);
+    };
+    for (int i = 0; i < 16; ++i)
+        add(Time(i), kAllPrios[i % 5]);
+    q.run();
+    EXPECT_EQ(order_errors, 0u);
+    EXPECT_EQ(next_time_errors, 0u);
+    EXPECT_TRUE(model.empty());
+    EXPECT_TRUE(q.empty());
+    EXPECT_GE(issued.size(), 40'000u);
+}
+
+TEST(EventQueue, InterleavedChainsKeepRunStorageBounded)
+{
+    // Two self-rescheduling chains whose next events always order past
+    // each other's, so every schedule appends to the sorted run. The
+    // run's consumed prefix must be reclaimed as it goes; without that
+    // its storage would grow by one entry per event.
+    constexpr std::uint64_t kEvents = 1'000'000;
+    EventQueue q;
+    std::uint64_t fired = 0;
+    std::size_t max_stored = 0;
+    std::function<void(Time)> tick = [&](Time period) {
+        max_stored = std::max(max_stored, q.stored_entries());
+        if (++fired < kEvents)
+            q.schedule(q.now() + period, [&tick, period] { tick(period); });
+    };
+    q.schedule(0, [&tick] { tick(10); });
+    q.schedule(5, [&tick] { tick(15); });
+    q.run();
+    EXPECT_EQ(q.dispatched(), kEvents + 1);
+    EXPECT_LE(max_stored, 4u);
+    EXPECT_EQ(q.stored_entries(), 0u);
+}
+
+TEST(EventQueue, CompactionFiltersCancelledRunEntries)
+{
+    // An ascending timeline lands in the sorted run. Cancelling most of
+    // it (never the front, so nothing is pruned) must trigger compaction
+    // of the run, not only of the heap.
+    EventQueue q;
+    std::vector<EventId> ids;
+    for (int i = 0; i < 1000; ++i)
+        ids.push_back(q.schedule(Time(10 + i), [] {}));
+    for (std::size_t i = 1; i + 10 < ids.size(); ++i)
+        EXPECT_TRUE(q.cancel(ids[i]));
+    EXPECT_EQ(q.pending(), 11u);
+    EXPECT_LE(q.stored_entries(), q.pending() + 64);
+    EXPECT_EQ(q.run(), 11u);
+    EXPECT_EQ(q.now(), 10 + 999);
+}
+
+TEST(EventQueue, NextEventTimeSkipsCancelledRunFront)
+{
+    EventQueue q;
+    // Ascending schedules append to the sorted run; 25 orders before the
+    // run's last entry (30), so it goes to the heap.
+    const EventId a = q.schedule(10, [] {});
+    const EventId b = q.schedule(20, [] {});
+    q.schedule(30, [] {});
+    const EventId c = q.schedule(25, [] {});
+    EXPECT_EQ(q.next_event_time(), 10);
+    EXPECT_TRUE(q.cancel(a));
+    EXPECT_EQ(q.next_event_time(), 20);
+    EXPECT_TRUE(q.cancel(b));
+    EXPECT_EQ(q.next_event_time(), 25);
+    EXPECT_TRUE(q.cancel(c));
+    EXPECT_EQ(q.next_event_time(), 30);
+    EXPECT_EQ(q.run(), 1u);
+    EXPECT_EQ(q.now(), 30);
 }
 
 TEST(EventQueue, ManyEventsStressOrdering)

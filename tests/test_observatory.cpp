@@ -239,6 +239,30 @@ TEST(Observatory, CheckpointRoundTripsExactly)
     std::remove(path.c_str());
 }
 
+TEST(Observatory, CheckpointEscapesCohortsAndLabels)
+{
+    // Cohort keys and top-K labels are written through json_escape, so
+    // a label holding JSON's special characters (and one longer than
+    // any fixed formatting buffer) survives save/load byte-identically.
+    const std::string odd =
+        "say \"hi\" \\ back\nslash\x01" + std::string(300, 'x');
+    Observatory obs;
+    for (std::uint64_t i = 0; i < 30; ++i) {
+        RunReport r = synthetic_report(i);
+        if (i % 2 == 0)
+            r.label = odd;
+        obs.observe(i, r);
+    }
+    const std::string path = temp_path("escape");
+    ASSERT_TRUE(obs.save(path));
+    Observatory loaded;
+    std::string error;
+    ASSERT_TRUE(loaded.load(path, &error)) << error;
+    EXPECT_EQ(loaded.to_json(), obs.to_json());
+    EXPECT_EQ(loaded.cohorts().count(odd), 1u);
+    std::remove(path.c_str());
+}
+
 TEST(Observatory, LoadRejectsMismatchedConfigAndGarbage)
 {
     const Observatory obs = shard_fold(50, 0, 1);

@@ -5,12 +5,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cctype>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 
 #include "core/render_system.h"
+#include "obs/json_view.h"
 #include "sim/tracing.h"
 #include "workload/frame_cost.h"
 
@@ -303,6 +306,51 @@ TEST(TraceExport, RunExportsAllLanes)
     EXPECT_NE(json.find("buffer queue"), std::string::npos);
     EXPECT_NE(json.find("FRAME DROP"), std::string::npos);
     EXPECT_NE(json.find("queued buffers"), std::string::npos);
+}
+
+TEST(TraceExport, QueuedBuffersTrackFollowsFrameRecords)
+{
+    // D-VSync renders ahead, so its buffer queue fills and drains. The
+    // "queued buffers" counter must show that: its samples change value,
+    // and each one equals the depth counted straight from the frame
+    // records at that instant (queued at or before it, not yet latched).
+    auto cost = std::make_shared<ConstantCostModel>(1_ms, 4_ms);
+    Scenario sc("t");
+    sc.animate(300_ms, cost);
+    SystemConfig cfg;
+    cfg.mode = RenderMode::kDvsync;
+    RenderSystem sys(cfg, sc);
+    sys.run();
+
+    TraceLog log;
+    sys.export_trace(log);
+    std::string error;
+    const JsonValue events = JsonValue::parse(log.to_json(), &error);
+    ASSERT_TRUE(events.is_array()) << error;
+
+    const std::vector<FrameRecord> &records = sys.producer().records();
+    std::vector<double> values;
+    Time last = kTimeNone;
+    for (const JsonValue &e : events.items()) {
+        if (e.string_at("ph") != "C" ||
+            e.string_at("name") != "queued buffers")
+            continue;
+        const Time at = Time(std::llround(e.number_at("ts") * 1e3));
+        EXPECT_GT(at, last) << "samples must be one per instant, in order";
+        last = at;
+        int depth = 0;
+        for (const FrameRecord &rec : records) {
+            if (rec.queue_time != kTimeNone && rec.queue_time <= at &&
+                (rec.present_time == kTimeNone || rec.present_time > at))
+                ++depth;
+        }
+        const double value = e.at("args").number_at("value");
+        EXPECT_EQ(value, double(depth)) << "at t=" << at;
+        values.push_back(value);
+    }
+    ASSERT_FALSE(values.empty());
+    EXPECT_NE(*std::min_element(values.begin(), values.end()),
+              *std::max_element(values.begin(), values.end()));
 }
 
 TEST(TraceExport, PreRenderedFramesLabelled)
