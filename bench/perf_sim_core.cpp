@@ -4,7 +4,7 @@
  *
  * Every figure and table of the reproduction is driven by the
  * discrete-event core, so its per-event cost bounds the wall-clock of
- * every sweep. This bench pins that cost from four angles:
+ * every sweep. This bench pins that cost from five angles:
  *
  *  1. A cancel-heavy schedule/cancel/fire mix (the watchdog/timeout
  *     pattern: a ring of outstanding timers that are mostly re-armed
@@ -14,7 +14,10 @@
  *  3. A timeline mix shaped like a 48-swipe sweep session: a timeline
  *     of ascending far-future boundaries scheduled up front, then a
  *     near self-rescheduling chain running through it.
- *  4. A full fig11-style app sweep timed end-to-end through the
+ *  4. A multi-surface mix shaped like a multisurface session: ~20
+ *     monotone per-surface stage chains woken by a shared vsync tick,
+ *     ~11 events pending at each dispatch.
+ *  5. A full fig11-style app sweep timed end-to-end through the
  *     ExperimentRunner (independent sessions on --jobs workers) — the
  *     macro number that the micro numbers exist to explain.
  *
@@ -170,6 +173,64 @@ timeline_mix(EventQueue &q, int events, int segments, std::uint64_t &fired)
     return checksum;
 }
 
+/**
+ * Multi-surface mix, the shape of a multisurface session: a vsync tick
+ * every period wakes each idle one of `streams` surfaces, which then
+ * runs a frame of one or two jittered pipeline stages (each stage
+ * schedules the next; the last leaves the surface idle until a later
+ * tick). Each surface's events are monotone in time and at most one is
+ * pending, so the queue holds about half the surfaces plus the tick.
+ * @p pending_sum accumulates pending() at every dispatch.
+ */
+std::uint64_t
+multisurface_mix(EventQueue &q, int events, int streams,
+                 std::uint64_t &fired, std::uint64_t &pending_sum)
+{
+    constexpr Time kPeriod = 16'667;
+    std::uint64_t checksum = 0xcbf29ce484222325ULL;
+    std::uint64_t budget = std::uint64_t(events);
+    const auto fold = [&](std::uint64_t tag) {
+        checksum = (checksum ^ tag) * 0x100000001b3ULL;
+        checksum = (checksum ^ std::uint64_t(q.now())) * 0x100000001b3ULL;
+        pending_sum += q.pending();
+        ++fired;
+    };
+    std::vector<int> stages_left(std::size_t(streams), 0);
+    Lcg rng{11};
+    std::function<void(int)> stage;
+    const auto next_stage = [&](int s) {
+        --budget;
+        q.schedule(q.now() + 1000 + Time(rng.next() % 5000),
+                   [&stage, s] { stage(s); }, EventPriority::kPipeline,
+                   EventTag(s + 1));
+    };
+    stage = [&](int s) {
+        fold(std::uint64_t(s + 1));
+        if (--stages_left[std::size_t(s)] > 0 && budget > 0)
+            next_stage(s);
+        else
+            stages_left[std::size_t(s)] = 0;
+    };
+    std::function<void()> tick = [&] {
+        fold(0);
+        for (int s = 0; s < streams && budget > 0; ++s) {
+            if (stages_left[std::size_t(s)] != 0)
+                continue;
+            stages_left[std::size_t(s)] = 1 + int(rng.next() % 2);
+            next_stage(s);
+        }
+        if (budget > 0) {
+            --budget;
+            q.schedule(q.now() + kPeriod, [&tick] { tick(); },
+                       EventPriority::kVsyncDist);
+        }
+    };
+    --budget;
+    q.schedule(0, [&tick] { tick(); }, EventPriority::kVsyncDist);
+    q.run();
+    return checksum;
+}
+
 /** The fig11 app sweep (uncalibrated), as one ExperimentRunner batch. */
 std::vector<Experiment>
 fig11_sweep_points()
@@ -239,6 +300,16 @@ main(int argc, char **argv)
         timeline_mix(q_timeline, events, 100, timeline_fired);
     const double timeline_ms = ms_since(t0);
 
+    // ---- multi-surface mix ---------------------------------------------
+    std::uint64_t multi_fired = 0, multi_pending = 0;
+    t0 = std::chrono::steady_clock::now();
+    EventQueue q_multi;
+    const std::uint64_t multi_sum =
+        multisurface_mix(q_multi, events, 20, multi_fired, multi_pending);
+    const double multi_ms = ms_since(t0);
+    const double multi_mean_pending =
+        double(multi_pending) / double(multi_fired);
+
     // ---- macro: fig11 sweep through the ExperimentRunner ---------------
     const std::vector<Experiment> points = fig11_sweep_points();
     const ExperimentRunner runner(jobs);
@@ -306,7 +377,12 @@ main(int argc, char **argv)
     table.add_row({"timeline mix", TableReporter::num(timeline_ms, 1),
                    TableReporter::num(
                        1e6 * timeline_ms / double(timeline_fired), 1)});
+    table.add_row({"multi-surface mix", TableReporter::num(multi_ms, 1),
+                   TableReporter::num(1e6 * multi_ms / double(multi_fired),
+                                      1)});
     table.print();
+    std::printf("multi-surface mix: %.1f events pending per dispatch\n",
+                multi_mean_pending);
 
     std::printf("\nfig11 sweep: %zu runs in %.1f ms (%d jobs)\n",
                 points.size(), sweep_ms, runner.jobs());
@@ -332,6 +408,10 @@ main(int argc, char **argv)
                 "events\n",
                 (unsigned long long)timeline_sum,
                 (unsigned long long)timeline_fired);
+    std::printf("dispatch checksum (multisurface): %016llx after %llu "
+                "events\n",
+                (unsigned long long)multi_sum,
+                (unsigned long long)multi_fired);
 
     if (out_path != "-") {
         bench::BenchJson record("perf_sim_core");
@@ -365,6 +445,16 @@ main(int argc, char **argv)
                       timeline_ms, (unsigned long long)timeline_fired,
                       (unsigned long long)timeline_sum);
         record.raw("timeline", jbuf);
+        std::snprintf(jbuf, sizeof(jbuf),
+                      "{\n"
+                      "    \"wall_ms\": %.3f,\n"
+                      "    \"dispatched\": %llu,\n"
+                      "    \"mean_pending\": %.2f,\n"
+                      "    \"checksum\": \"%016llx\"\n"
+                      "  }",
+                      multi_ms, (unsigned long long)multi_fired,
+                      multi_mean_pending, (unsigned long long)multi_sum);
+        record.raw("multisurface", jbuf);
         std::snprintf(jbuf, sizeof(jbuf),
                       "{\n"
                       "    \"runs\": %zu,\n"

@@ -63,8 +63,13 @@ RenderSystem::RenderSystem(const SystemConfig &config, Scenario scenario)
                                            *queue_, *dist_);
     // Tagged like surface 0 of a multi-surface system.
     producer_->set_event_tag(1);
-    // Typical runs keep a few hundred events live; pre-sizing the heap
-    // and slot map keeps the hot loop out of the allocator.
+    // Drain margin: enough refreshes for the pipeline and any accumulated
+    // buffers to reach the panel after the last segment ends.
+    horizon_ = producer_->scenario().total_duration() +
+               Time(buffers_ + 4) * config.device.period();
+    // Typical runs keep a few hundred events live; pre-sizing the
+    // queue's runs and callback storage keeps the hot loop out of the
+    // allocator.
     sim_.events().reserve(256);
 
     if (config.mode == RenderMode::kDvsync) {
@@ -130,6 +135,10 @@ RenderSystem::RenderSystem(const SystemConfig &config, Scenario scenario)
     }
 
     stats_ = std::make_unique<FrameStats>(*producer_, *panel_);
+    const LogCapacity logs = log_capacity(producer_->scenario(), horizon_,
+                                          config.device.max_refresh_hz());
+    producer_->reserve_records(logs.frames);
+    stats_->reserve(logs);
 
     // The classifier reads the RefreshLog FrameStats appends, so it must
     // register its present listener after stats_. It schedules no events
@@ -291,11 +300,7 @@ RenderSystem::run()
 
     hw_->start();
     producer_->start(0);
-
-    // Drain margin: enough refreshes for the pipeline and any accumulated
-    // buffers to reach the panel after the last segment ends.
-    const Time tail = Time(buffers_ + 4) * config_.device.period();
-    sim_.run_until(producer_->scenario().total_duration() + tail);
+    sim_.run_until(horizon_);
     hw_->stop();
     if (monitor_)
         monitor_->finalize(sim_.now());

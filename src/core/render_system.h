@@ -359,6 +359,7 @@ class RenderSystem
   private:
     SystemConfig config_;
     int buffers_;
+    Time horizon_ = 0; ///< run() ends here: scenario end + drain margin
     Simulator sim_;
     std::unique_ptr<BufferQueue> queue_;
     std::unique_ptr<HwVsyncGenerator> hw_;

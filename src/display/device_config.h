@@ -6,6 +6,7 @@
 #ifndef DVS_DISPLAY_DEVICE_CONFIG_H
 #define DVS_DISPLAY_DEVICE_CONFIG_H
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -41,6 +42,16 @@ struct DeviceConfig {
 
     /** Refresh period. */
     Time period() const { return period_from_hz(refresh_hz); }
+
+    /** Highest rate the panel can run at (LTPO rates included). */
+    double
+    max_refresh_hz() const
+    {
+        double hz = refresh_hz;
+        for (double r : ltpo_rates)
+            hz = std::max(hz, r);
+        return hz;
+    }
 
     /** Size of one RGBA8888 frame buffer in bytes. */
     std::int64_t buffer_bytes() const

@@ -1,6 +1,7 @@
 #include "metrics/frame_stats.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
 #include "sim/logging.h"
@@ -13,6 +14,44 @@ FrameStats::FrameStats(Producer &producer, Panel &panel, int pipeline_depth)
 {
     panel.add_present_listener(
         [this](const PresentEvent &ev) { on_present(ev); });
+}
+
+LogCapacity
+log_capacity(const Scenario &scenario, Time horizon, double max_hz)
+{
+    // Counted in double and clamped before the conversion, so no rate,
+    // duration or horizon can overflow; fmax also maps NaN to 1.
+    // Refreshes fall on multiples of the whole-ns period the panel uses;
+    // slots are counted at the nominal rate, which keeps a segment whose
+    // duration is a whole number of refreshes from counting one more.
+    const auto round = [](double n) {
+        return std::bit_ceil(
+            std::size_t(std::fmin(std::fmax(n, 1.0), 65536.0)));
+    };
+    const double period = std::floor(1e9 / max_hz);
+    double frames = 0.0;
+    for (const Segment &seg : scenario.segments()) {
+        if (seg.produces_frames())
+            frames += std::ceil(double(seg.duration) * max_hz / 1e9);
+    }
+    return {round(std::floor(double(horizon) / period) + 1.0),
+            round(frames)};
+}
+
+void
+FrameStats::reserve(const LogCapacity &capacity)
+{
+    // At most one shown frame, latency sample and touch sample per
+    // frame; touch samples only come from interactive segments.
+    refreshes_.reserve(capacity.refreshes);
+    shown_.reserve(capacity.frames);
+    latency_.reserve(capacity.frames);
+    for (const Segment &seg : producer_.scenario().segments()) {
+        if (seg.touch) {
+            touch_error_.reserve(capacity.frames);
+            break;
+        }
+    }
 }
 
 bool

@@ -48,6 +48,26 @@ struct ShownFrame {
     double rate_hz = 0.0;
 };
 
+/** Capacities to size a surface's per-refresh and per-frame logs with. */
+struct LogCapacity {
+    std::size_t refreshes = 0; ///< refresh log
+    std::size_t frames = 0;    ///< frame records, shown frames, samples
+};
+
+/**
+ * Log capacities for a run of @p scenario that ends at @p horizon on a
+ * panel running at most at @p max_hz: the refreshes from t = 0 through
+ * the horizon, and the frames the scenario's frame-producing segments
+ * owe (one per refresh of their duration). Each is rounded up to a
+ * power of two, where growth by doubling would end, so a log sized with
+ * it once holds what growing it would, without the intermediate
+ * copies, and keeps the allocator's size classes. Capped at 2^16: they
+ * are hints, and an implausible device or scenario must not reserve
+ * without bound. A run that outgrows them still grows correctly.
+ */
+LogCapacity log_capacity(const Scenario &scenario, Time horizon,
+                         double max_hz);
+
 /**
  * Aggregates the run's objective metrics. Construct after the producer
  * and panel exist, before the simulation runs.
@@ -104,6 +124,12 @@ class FrameStats
 
     /** Summary of everything, for printing. */
     StatSet summary() const;
+
+    /**
+     * Size the logs and sample sets once (see log_capacity). A run that
+     * outgrows them still grows correctly.
+     */
+    void reserve(const LogCapacity &capacity);
 
   private:
     void on_present(const PresentEvent &ev);

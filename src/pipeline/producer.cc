@@ -17,9 +17,6 @@ Producer::Producer(Simulator &sim, Scenario scenario, BufferQueue &queue,
     choreographer_.set_callback(
         [this](const SwVsync &sw) { handle_vsync_trigger(sw); });
     queue_.on_slot_free([this] { on_slot_free(); });
-    // FrameRecords are flat PODs indexed by frame id; pre-sizing keeps
-    // the begin_frame hot path out of the allocator for typical runs.
-    records_.reserve(512);
 }
 
 void

@@ -253,6 +253,13 @@ class Producer
     /** Frames whose UI stage ran (for cost accounting). */
     std::uint64_t frames_started() const { return records_.size(); }
 
+    /**
+     * Size the frame records once for @p frames frames (a hint, see
+     * log_capacity): FrameRecords are flat PODs indexed by frame id, and
+     * sizing them up front keeps begin_frame out of the allocator.
+     */
+    void reserve_records(std::size_t frames) { records_.reserve(frames); }
+
   private:
     void on_segment_event(int i);
     void handle_vsync_trigger(const SwVsync &sw);

@@ -1,159 +1,114 @@
 #include "sim/event_queue.h"
 
-#include <algorithm>
-#include <cassert>
-#include <functional>
 #include <utility>
+
+#include "sim/logging.h"
 
 namespace dvs {
 
-bool
-EventQueue::is_live(EventId id) const
-{
-    const std::uint32_t slot = slot_of(id);
-    return slot < slots_.size() && slots_[slot].live &&
-           slots_[slot].gen == gen_of(id);
-}
-
-std::uint32_t
-EventQueue::acquire_slot(Callback fn)
-{
-    std::uint32_t slot;
-    if (free_head_ != kNullSlot) {
-        slot = free_head_;
-        free_head_ = slots_[slot].next_free;
-    } else {
-        slot = std::uint32_t(slots_.size());
-        slots_.emplace_back();
-    }
-    Slot &s = slots_[slot];
-    s.fn = std::move(fn);
-    s.live = true;
-    s.next_free = kNullSlot;
-    return slot;
-}
-
-EventQueue::Callback
-EventQueue::release_slot(std::uint32_t slot)
-{
-    Slot &s = slots_[slot];
-    Callback fn = std::move(s.fn);
-    s.fn = nullptr;
-    s.live = false;
-    ++s.gen; // stale EventIds for this slot now fail the generation check
-    s.next_free = free_head_;
-    free_head_ = slot;
-    return fn;
-}
-
-bool
-EventQueue::run_front_first() const
-{
-    return run_head_ < run_.size() &&
-           (heap_.empty() || heap_.front() > run_[run_head_]);
-}
-
 void
-EventQueue::pop_run_front()
+EventQueue::Run::pop_front()
 {
     // The consumed prefix is dropped when the run drains or reaches half
     // the vector, as ExecResource's completion FIFO does: each erase
     // moves no more entries than it frees, so reclamation is amortized
     // O(1) and the run stays O(pending) in memory.
-    if (++run_head_ == run_.size()) {
-        run_.clear();
-        run_head_ = 0;
-    } else if (run_head_ * 2 >= run_.size()) {
-        run_.erase(run_.begin(), run_.begin() + std::ptrdiff_t(run_head_));
-        run_head_ = 0;
+    if (++head == v.size()) {
+        v.clear();
+        head = 0;
+    } else if (head * 2 >= v.size()) {
+        v.erase(v.begin(), v.begin() + std::ptrdiff_t(head));
+        head = 0;
     }
 }
 
 void
-EventQueue::prune_heap_top()
+EventQueue::Run::insert(const Entry &e)
 {
-    while (!heap_.empty() && !is_live(heap_.front().id)) {
-        std::pop_heap(heap_.begin(), heap_.end(), std::greater<>{});
-        heap_.pop_back();
-        --dead_;
+    // Near-term chains mostly advance monotonically, so the scan from
+    // the back is usually empty. It stops at the front: a new entry may
+    // order before a consumed one (same tick, lower priority).
+    auto at = v.end();
+    const auto first = v.begin() + std::ptrdiff_t(head);
+    while (at != first && e < at[-1])
+        --at;
+    v.insert(at, e);
+}
+
+bool
+EventQueue::Run::erase_seq(std::uint64_t seq, std::uint32_t &slot)
+{
+    // Reclaim the consumed prefix first: cancel() is O(pending) anyway,
+    // and it leaves the run storing exactly its pending entries.
+    v.erase(v.begin(), v.begin() + std::ptrdiff_t(head));
+    head = 0;
+    for (auto it = v.begin(); it != v.end(); ++it) {
+        if (it->seq() == seq) {
+            slot = it->slot;
+            v.erase(it);
+            return true;
+        }
     }
-}
-
-void
-EventQueue::prune_run_front()
-{
-    while (run_head_ < run_.size() && !is_live(run_[run_head_].id)) {
-        pop_run_front();
-        --dead_;
-    }
-}
-
-void
-EventQueue::prune_dead_top()
-{
-    prune_heap_top();
-    prune_run_front();
-}
-
-void
-EventQueue::maybe_compact()
-{
-    // Cancelled entries buried behind either front are skipped lazily;
-    // filter both containers once they outnumber the live ones so a
-    // cancel-heavy workload stays O(live) in memory. The comparator is a
-    // strict total order (seq is unique), so rebuilding the heap cannot
-    // perturb dispatch order, and filtering keeps the run sorted.
-    const std::size_t stored = heap_.size() + run_.size() - run_head_;
-    if (dead_ <= 64 || dead_ <= stored / 2)
-        return;
-    const auto dead = [this](const Entry &e) { return !is_live(e.id); };
-    std::erase_if(heap_, dead);
-    std::make_heap(heap_.begin(), heap_.end(), std::greater<>{});
-    run_.erase(run_.begin(), run_.begin() + std::ptrdiff_t(run_head_));
-    run_head_ = 0;
-    std::erase_if(run_, dead);
-    dead_ = 0;
+    return false;
 }
 
 EventId
 EventQueue::schedule(Time when, Callback fn, EventPriority prio,
                      EventTag tag)
 {
-    assert(when >= now_ && "cannot schedule events in the past");
-    const std::uint32_t slot = acquire_slot(std::move(fn));
-    const EventId id = make_id(slot, slots_[slot].gen);
-    const Entry e{when, static_cast<int>(prio), tag, next_seq_++, id};
-    if (run_.empty() || e > run_.back()) {
-        run_.push_back(e);
-    } else {
-        heap_.push_back(e);
-        std::push_heap(heap_.begin(), heap_.end(), std::greater<>{});
+    if (when < now_) {
+        panic("event scheduled in the past: t=%lld before now=%lld",
+              (long long)when, (long long)now_);
     }
-    ++live_count_;
-    return id;
+    std::uint32_t slot;
+    if (free_.empty()) {
+        slot = std::uint32_t(fns_.size());
+        fns_.push_back(std::move(fn));
+    } else {
+        slot = free_.back();
+        free_.pop_back();
+        fns_[slot] = std::move(fn);
+    }
+    const std::uint64_t seq = next_seq_++;
+    const Entry e{when,
+                  std::uint64_t(prio) << kPrioShift | seq, slot, tag};
+    if (far_.v.empty() || far_.back() < e)
+        far_.v.push_back(e);
+    else if (near_.v.empty() || near_.back() < e)
+        near_.v.push_back(e);
+    else
+        near_.insert(e);
+    return seq + 1;
 }
 
 bool
 EventQueue::cancel(EventId id)
 {
-    if (!is_live(id))
+    if (id == 0 || id > next_seq_)
         return false;
-    release_slot(slot_of(id));
-    --live_count_;
-    ++dead_; // its entry is now dead; pruned below or at dispatch
-    prune_dead_top();
-    maybe_compact();
+    // Both runs are searched (`|`, not `||`), so both drop their
+    // consumed prefix and storage equals pending() afterwards.
+    std::uint32_t slot;
+    if (!(near_.erase_seq(id - 1, slot) | far_.erase_seq(id - 1, slot)))
+        return false;
+    fns_[slot] = nullptr;
+    free_.push_back(slot);
     return true;
+}
+
+bool
+EventQueue::near_first() const
+{
+    return !near_.empty() &&
+           (far_.empty() || near_.front() < far_.front());
 }
 
 Time
 EventQueue::next_event_time() const
 {
-    // Dead entries never rest at either front: cancel() prunes eagerly
-    // and run_until() prunes after every pop, before the callback runs.
-    if (run_front_first())
-        return run_[run_head_].when;
-    return heap_.empty() ? kTimeNone : heap_.front().when;
+    if (near_first())
+        return near_.front().when;
+    return far_.empty() ? kTimeNone : far_.front().when;
 }
 
 std::uint64_t
@@ -161,27 +116,19 @@ EventQueue::run_until(Time horizon, bool advance_to_horizon)
 {
     std::uint64_t n = 0;
     for (;;) {
-        const bool from_run = run_front_first();
-        if (!from_run && heap_.empty())
+        Run &from = near_first() ? near_ : far_;
+        if (from.empty())
             break;
-        const Entry e = from_run ? run_[run_head_] : heap_.front();
+        const Entry e = from.front();
         if (e.when > horizon)
             break;
-        // Only the popped front can have uncovered a dead entry.
-        if (from_run) {
-            pop_run_front();
-            prune_run_front();
-        } else {
-            std::pop_heap(heap_.begin(), heap_.end(), std::greater<>{});
-            heap_.pop_back();
-            prune_heap_top();
-        }
+        from.pop_front();
 
-        Callback fn = release_slot(slot_of(e.id));
+        Callback fn = std::move(fns_[e.slot]);
+        free_.push_back(e.slot);
         now_ = e.when;
-        --live_count_;
         ++dispatched_;
-        fold_dispatch(e.when, e.prio, e.tag, e.seq);
+        fold_dispatch(e.when, e.prio(), e.tag, e.seq());
         ++n;
         fn();
     }

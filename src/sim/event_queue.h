@@ -6,38 +6,37 @@
  * makes simulations fully reproducible: two events scheduled for the same
  * tick with the same priority run in the order they were scheduled.
  *
- * Complexity guarantees (the simulator's hot path — see DESIGN.md):
- *  - schedule():        O(1) append to the sorted run when the event
- *                       orders after every run entry, else O(log h)
- *                       heap push; O(1) callback storage
- *  - cancel():          O(1) slot lookup + amortized O(log h) pruning
- *  - dispatch:          O(1) compare of the two fronts, then an O(1)
- *                       run pop or an O(log h) heap pop
- *  - next_event_time(): O(1), never reports a cancelled event
+ * Complexity guarantees (the simulator's hot path — see DESIGN.md §5b):
+ *  - schedule():        O(1) append when the event orders after the far
+ *                       run's last entry or after the near run's last
+ *                       entry, else an O(n) insert into the near run at
+ *                       a place found by scanning from its back (n =
+ *                       near entries, usually a few); O(1) callback
+ *                       storage
+ *  - cancel():          O(pending): a linear scan of both runs, then an
+ *                       erase; off the dispatch path (no src/ caller)
+ *  - dispatch:          O(1): compare the two fronts, pop the smaller
+ *  - next_event_time(): O(1)
  *
- * Pending entries live in two containers. The *run* is a vector kept in
- * ascending (when, prio, seq) order: an entry that orders after the
- * run's last entry is appended to it. Every other entry goes to a
- * binary min-heap, so h counts only the out-of-order entries. A scenario
- * schedules its whole segment timeline up front, in order, so on a
- * 48-swipe app script those ~49 far-future boundaries (98 at most) sit
- * in the run instead of the heap, whose size drops to a few near-term
- * vsync and pipeline events; the heap-only queue averaged ~49 entries
- * there against 2.9 on a 1 s fleet session. Dispatch takes the smaller
- * of the two fronts, so the order is the same strict total order as a
- * single heap. The run's consumed prefix is reclaimed with an amortized
- * erase once it reaches half the vector, so two chains that keep
- * scheduling past each other cannot grow it without bound.
+ * Pending entries live in two ascending (when, prio, seq) runs and
+ * nowhere else: a cancelled entry is erased at once, so there is no
+ * liveness bookkeeping. The *far* run takes every entry that orders
+ * after its last one: a scenario schedules its whole segment timeline
+ * up front, in order, so those far-future boundaries cost O(1) each.
+ * Every other entry goes to the *near* run, appended when it orders
+ * after the near run's back (the common case: vsync and pipeline chains
+ * advance monotonically) and otherwise inserted at its place found from
+ * the back. Few entries are pending at once (11.4 per dispatch in
+ * perf_sim_core's multi-surface mix), so that insert moves a handful of
+ * 24-byte entries; a wide pending set pays O(n) per insert. Dispatch takes the smaller of the two fronts, the
+ * same strict total order a single heap gives. Each run reclaims its
+ * consumed prefix with an amortized erase once it reaches half the
+ * vector, so storage stays O(pending).
  *
- * Callback storage is a slot map: an EventId encodes {slot index,
- * generation}, so lookup is an array index plus a generation check, and
- * cancelled slots are recycled through a free list immediately (memory is
- * bounded by the maximum number of *concurrently pending* events, not by
- * the total scheduled over a run). Entries of cancelled events are
- * skipped lazily at dispatch; dead entries at either front are pruned
- * eagerly on cancel and dispatch, and both containers are compacted
- * whenever dead entries outnumber live ones, so cancel-heavy workloads
- * stay O(live) in memory too.
+ * Callbacks live in a plain vector indexed by slot, with a free list of
+ * slot indices, so memory is bounded by the maximum number of
+ * concurrently pending events. An EventId is the event's sequence
+ * number + 1: nonzero and never reused, so a stale handle is a no-op.
  */
 
 #ifndef DVS_SIM_EVENT_QUEUE_H
@@ -66,10 +65,9 @@ enum class EventPriority : int {
 };
 
 /**
- * Handle used to cancel a scheduled event. Encodes {slot, generation};
- * treat it as opaque. A handle goes stale once its event fires or is
- * cancelled — using it afterwards is a detected no-op, even if the
- * underlying slot has been recycled for a newer event.
+ * Handle used to cancel a scheduled event: its sequence number + 1, so
+ * never 0 and never reused. A handle goes stale once its event fires or
+ * is cancelled; using it afterwards is a no-op.
  */
 using EventId = std::uint64_t;
 
@@ -109,7 +107,8 @@ class EventQueue
 
     /**
      * Schedule @p fn to run at absolute time @p when, tagged @p tag.
-     * @pre when >= now()
+     * Scheduling before now() is a panic in every build type: the event
+     * would dispatch out of order.
      * @return an id usable with cancel().
      */
     EventId schedule(Time when, Callback fn,
@@ -125,31 +124,35 @@ class EventQueue
     }
 
     /**
-     * Cancel a pending event. Cancelling an already-fired, already-
-     * cancelled, or unknown id is a no-op: stale handles are rejected by
-     * the generation check even after their slot is recycled.
+     * Cancel a pending event: its entry is erased and its callback
+     * destroyed at once. Cancelling an already-fired, already-cancelled
+     * or unknown id is a no-op. O(pending).
      * @return true if the event was pending and is now cancelled.
      */
     bool cancel(EventId id);
 
     /** Whether any events remain pending. */
-    bool empty() const { return live_count_ == 0; }
+    bool empty() const { return pending() == 0; }
 
     /** Number of pending (non-cancelled) events. */
-    std::size_t pending() const { return live_count_; }
+    std::size_t
+    pending() const
+    {
+        return near_.size() + far_.size();
+    }
 
     /**
-     * Entries held by the heap and the run, counting cancelled entries
-     * not yet pruned and the run's consumed prefix not yet reclaimed.
-     * Stays O(pending); tests pin that bound.
+     * Entries held by both runs, counting each run's consumed prefix
+     * not yet reclaimed. Stays O(pending), and equals pending() right
+     * after a cancel(); tests pin both.
      */
-    std::size_t stored_entries() const { return heap_.size() + run_.size(); }
+    std::size_t
+    stored_entries() const
+    {
+        return near_.v.size() + far_.v.size();
+    }
 
-    /**
-     * Time of the earliest pending event, or kTimeNone when empty.
-     * Cancelled events are never reported: cancel() and dispatch eagerly
-     * prune dead entries off both fronts.
-     */
+    /** Time of the earliest pending event, or kTimeNone when empty. */
     Time next_event_time() const;
 
     /**
@@ -174,73 +177,59 @@ class EventQueue
     std::uint64_t dispatch_hash() const { return dispatch_hash_; }
 
     /**
-     * Pre-size the slot map, heap and run (data-layout hint for runs
-     * with a known pending-event ceiling; avoids growth reallocations on
-     * the hot path).
+     * Pre-size both runs and the callback storage (data-layout hint for
+     * runs with a known pending-event ceiling; avoids growth
+     * reallocations on the hot path).
      */
-    void reserve(std::size_t events)
+    void
+    reserve(std::size_t events)
     {
-        heap_.reserve(events);
-        run_.reserve(events);
-        slots_.reserve(events);
+        near_.v.reserve(events);
+        far_.v.reserve(events);
+        fns_.reserve(events);
     }
 
   private:
+    static constexpr int kPrioShift = 56;
+    static constexpr std::uint64_t kSeqMask =
+        (std::uint64_t(1) << kPrioShift) - 1;
+
     struct Entry {
         Time when;
-        int prio;
-        EventTag tag; ///< fills the padding hole after prio
-        std::uint64_t seq;
-        EventId id;
+        std::uint64_t key; ///< prio << kPrioShift | seq
+        std::uint32_t slot;
+        EventTag tag;
+
+        std::uint64_t seq() const { return key & kSeqMask; }
+        int prio() const { return int(key >> kPrioShift); }
 
         bool
-        operator>(const Entry &o) const
+        operator<(const Entry &o) const
         {
-            if (when != o.when)
-                return when > o.when;
-            if (prio != o.prio)
-                return prio > o.prio;
-            return seq > o.seq;
+            return when < o.when || (when == o.when && key < o.key);
         }
     };
-    static_assert(sizeof(Entry) == 32, "the tag fills the padding hole");
+    static_assert(sizeof(Entry) == 24, "slot and tag share one word");
 
     /**
-     * One callback slot. `gen` is bumped every time the slot is released
-     * (fire or cancel), which invalidates every EventId minted for a
-     * previous occupancy in O(1).
+     * An ascending run of entries; v[head] is its front and the entries
+     * before it are consumed, awaiting reclamation.
      */
-    struct Slot {
-        Callback fn;
-        std::uint32_t gen = 1;
-        std::uint32_t next_free = kNullSlot;
-        bool live = false;
+    struct Run {
+        std::vector<Entry> v;
+        std::size_t head = 0;
+
+        bool empty() const { return head == v.size(); }
+        std::size_t size() const { return v.size() - head; }
+        const Entry &front() const { return v[head]; }
+        const Entry &back() const { return v.back(); }
+        void pop_front();
+        void insert(const Entry &e);
+        bool erase_seq(std::uint64_t seq, std::uint32_t &slot);
     };
 
-    static constexpr std::uint32_t kNullSlot = 0xffffffffu;
-
-    static std::uint32_t slot_of(EventId id)
-    {
-        return std::uint32_t(id);
-    }
-    static std::uint32_t gen_of(EventId id)
-    {
-        return std::uint32_t(id >> 32);
-    }
-    static EventId make_id(std::uint32_t slot, std::uint32_t gen)
-    {
-        return (EventId(gen) << 32) | EventId(slot);
-    }
-
-    bool is_live(EventId id) const;
-    std::uint32_t acquire_slot(Callback fn);
-    Callback release_slot(std::uint32_t slot);
-    bool run_front_first() const;
-    void pop_run_front();
-    void prune_heap_top();
-    void prune_run_front();
-    void prune_dead_top();
-    void maybe_compact();
+    /** Whether the near run holds the earliest pending entry. */
+    bool near_first() const;
 
     void fold_dispatch(Time when, int prio, EventTag tag, std::uint64_t seq)
     {
@@ -253,23 +242,18 @@ class EventQueue
         dispatch_hash_ = h;
     }
 
-    // Min-heap on (when, prio, seq) via the std heap algorithms; a plain
-    // vector (rather than std::priority_queue) so compaction can filter
-    // dead entries in place.
-    std::vector<Entry> heap_;
-    // Ascending (when, prio, seq) run; run_[run_head_] is its front and
-    // the entries before it are consumed, awaiting reclamation.
-    std::vector<Entry> run_;
-    std::size_t run_head_ = 0;
-    std::vector<Slot> slots_;
-    std::uint32_t free_head_ = kNullSlot;
-    std::size_t dead_ = 0; ///< cancelled entries still in heap_ or run_
+    // Entries that ordered after every far entry when scheduled.
+    Run far_;
+    // Every other entry: near-term work, kept ascending by insertion.
+    Run near_;
+    // Callbacks by slot; free_ lists the slots not holding one.
+    std::vector<Callback> fns_;
+    std::vector<std::uint32_t> free_;
 
     Time now_ = 0;
     std::uint64_t next_seq_ = 0;
     std::uint64_t dispatched_ = 0;
     std::uint64_t dispatch_hash_ = 0xcbf29ce484222325ULL;
-    std::size_t live_count_ = 0;
 };
 
 } // namespace dvs

@@ -73,6 +73,14 @@ class SampleStat
 
     bool keeps_samples() const { return keep_samples_; }
 
+    /** Pre-size the kept samples for @p n add()s (a hint). */
+    void
+    reserve(std::size_t n)
+    {
+        if (keep_samples_)
+            samples_.reserve(n);
+    }
+
     void reset();
 
   private:

@@ -206,10 +206,22 @@ MultiSurfaceSystem::MultiSurfaceSystem(std::vector<SurfaceDesc> descs,
         injector_->arm(*hw_, *s.queue, *s.latch, *s.producer);
     }
 
+    int max_extra = 0;
     for (const Surface &s : surfaces_) {
         session_end_ = std::max(
             session_end_,
             s.desc.start_at + s.desc.scenario.total_duration());
+        max_extra = std::max(max_extra, s.desc.max_extra_buffers);
+    }
+    // The drain margin RenderSystem keeps, deep enough for the deepest
+    // queue the arbiter may grant.
+    horizon_ = session_end_ +
+               Time(base_buffers_ + max_extra + 4) * config.device.period();
+    for (Surface &s : surfaces_) {
+        const LogCapacity logs = log_capacity(
+            s.desc.scenario, horizon_, config.device.max_refresh_hz());
+        s.producer->reserve_records(logs.frames);
+        s.stats->reserve(logs);
     }
 
     if (config.forensics) {
@@ -297,11 +309,9 @@ MultiSurfaceSystem::run()
     // start with their arbitrated depth instead of growing mid-segment.
     arbiter_->arbitrate(0);
 
-    int max_extra = 0;
     for (std::size_t i = 0; i < surfaces_.size(); ++i) {
         Surface &s = surfaces_[i];
         s.producer->start(s.desc.start_at);
-        max_extra = std::max(max_extra, s.desc.max_extra_buffers);
         // The surface leaves the arbiter's pool when its scenario ends;
         // its grant returns to the budget and the survivors re-split it.
         const Time ends = s.desc.start_at + s.desc.scenario.total_duration();
@@ -311,9 +321,7 @@ MultiSurfaceSystem::run()
             EventPriority::kDefault);
     }
 
-    const Time tail =
-        Time(base_buffers_ + max_extra + 4) * config_.device.period();
-    sim_.run_until(session_end_ + tail);
+    sim_.run_until(horizon_);
     hw_->stop();
     for (Surface &s : surfaces_) {
         if (s.monitor)

@@ -358,6 +358,7 @@ class MultiSurfaceSystem
     std::unique_ptr<MetricsRegistry> metrics_;
     std::vector<AllocSample> alloc_log_;
     Time session_end_ = 0; ///< last scenario's end time
+    Time horizon_ = 0;     ///< run() ends here: session end + drain margin
     bool ran_ = false;
 };
 

@@ -10,16 +10,6 @@ namespace dvs {
 
 namespace {
 
-/** Highest rate the panel can anchor a segment's timeline at. */
-double
-max_refresh_hz(const DeviceConfig &device)
-{
-    double hz = device.refresh_hz;
-    for (double r : device.ltpo_rates)
-        hz = std::max(hz, r);
-    return hz;
-}
-
 std::vector<FrameSample>
 sample_records(const Producer &producer)
 {
@@ -39,7 +29,8 @@ SessionRecorder::capture_scenario(const Scenario &scenario,
 {
     ScenarioCapture sc;
     sc.name = scenario.name();
-    const double max_hz = max_refresh_hz(device);
+    // The highest rate the panel can anchor a segment's timeline at.
+    const double max_hz = device.max_refresh_hz();
     for (std::size_t i = 0; i < scenario.size(); ++i) {
         const Segment &seg = scenario.segments()[i];
         SegmentCapture cap;

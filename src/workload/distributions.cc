@@ -18,7 +18,10 @@ hash_index(std::uint64_t seed, std::int64_t index)
 
 PowerLawCostModel::PowerLawCostModel(const PowerLawParams &params,
                                      std::uint64_t seed)
-    : params_(params), seed_(seed)
+    : params_(params), seed_(seed),
+      // Lognormal with mean short_mean_ms: mu = ln(mean) - sigma^2/2.
+      short_mu_(std::log(params.short_mean_ms) -
+                params.short_sigma * params.short_sigma / 2.0)
 {
     if (params.heavy_prob < 0 || params.heavy_prob > 1)
         fatal("heavy_prob must be in [0,1]");
@@ -50,11 +53,7 @@ double
 PowerLawCostModel::sample_ms(std::int64_t nominal_index) const
 {
     Rng rng(hash_index(seed_, nominal_index));
-    // Lognormal with mean short_mean_ms: mu = ln(mean) - sigma^2/2.
-    const double mu =
-        std::log(params_.short_mean_ms) -
-        params_.short_sigma * params_.short_sigma / 2.0;
-    double ms = rng.lognormal(mu, params_.short_sigma);
+    double ms = rng.lognormal(short_mu_, params_.short_sigma);
     if (is_heavy(nominal_index)) {
         ms += rng.bounded_pareto(params_.heavy_alpha, params_.heavy_min_ms,
                                  params_.heavy_max_ms);

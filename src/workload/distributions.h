@@ -55,6 +55,8 @@ class PowerLawCostModel : public FrameCostModel
 
     PowerLawParams params_;
     std::uint64_t seed_;
+    /** Lognormal mu giving the short bulk mean short_mean_ms. */
+    double short_mu_;
 };
 
 /** Mix 64 bits (splitmix64 finalizer); used to key per-index streams. */

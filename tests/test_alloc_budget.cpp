@@ -4,12 +4,14 @@
  *
  * Runs sessions of each benchmark workload shape — paper-fleet sessions,
  * a Fig. 11 D-VSync-5 app session and a 4-surface shared-GPU
- * multi-surface session — and counts the heap allocations made while
- * `run()` executes. Allocation counts are deterministic for a fixed
- * session, so the bound is a regression gate rather than a timing: an
- * event callable that outgrows its inline buffer, a per-edge container
- * that loses its capacity, or a new per-frame node allocation shows up
- * as a step in allocations per dispatched event.
+ * multi-surface session — and counts the heap allocations, and the
+ * bytes they request, made while `run()` executes. Both are
+ * deterministic for a fixed session, so the bounds are regression gates
+ * rather than timings: an event callable that outgrows its inline
+ * buffer, a per-edge container that loses its capacity, or a new
+ * per-frame node allocation shows up as a step in allocations per
+ * dispatched event; a per-refresh log that is regrown instead of sized
+ * once shows up in bytes per session.
  *
  * This file replaces the global operator new/delete to count; it is its
  * own test executable so the counting allocator reaches no other test.
@@ -37,12 +39,15 @@ namespace {
 
 std::atomic<bool> g_counting{false};
 std::atomic<std::uint64_t> g_allocs{0};
+std::atomic<std::uint64_t> g_bytes{0};
 
 void *
 counted_alloc(std::size_t n)
 {
-    if (g_counting.load(std::memory_order_relaxed))
+    if (g_counting.load(std::memory_order_relaxed)) {
         g_allocs.fetch_add(1, std::memory_order_relaxed);
+        g_bytes.fetch_add(n, std::memory_order_relaxed);
+    }
     if (void *p = std::malloc(n ? n : 1))
         return p;
     throw std::bad_alloc();
@@ -64,16 +69,27 @@ namespace {
 
 /**
  * Bounds on allocations per dispatched event during run(), about twice
- * the values measured when they were set (fleet 0.12 over these
- * sessions, app 0.03, multi-surface 0.10). The event path before inline
- * callables and recycled containers made 1.29-2.10 per event.
+ * the values measured when they were set (fleet 0.067 over these
+ * sessions, app 0.025, multi-surface 0.048). The event path before
+ * inline callables and recycled containers made 1.29-2.10 per event;
+ * before the per-surface logs were sized once, 0.12, 0.03 and 0.10.
  */
-constexpr double kFleetMaxPerEvent = 0.25;
-constexpr double kAppMaxPerEvent = 0.08;
-constexpr double kMultiSurfaceMaxPerEvent = 0.2;
+constexpr double kFleetMaxPerEvent = 0.14;
+constexpr double kAppMaxPerEvent = 0.05;
+constexpr double kMultiSurfaceMaxPerEvent = 0.1;
+
+/**
+ * Bounds on bytes requested per session during run(), about twice the
+ * values measured when they were set (fleet 1,267 on average over these
+ * sessions, app 33,936, multi-surface 20,220).
+ */
+constexpr std::uint64_t kFleetMaxBytes = 2'600;
+constexpr std::uint64_t kAppMaxBytes = 68'000;
+constexpr std::uint64_t kMultiSurfaceMaxBytes = 40'000;
 
 struct RunCount {
     std::uint64_t allocs = 0;
+    std::uint64_t bytes = 0;
     std::uint64_t events = 0;
 
     double per_event() const { return double(allocs) / double(events); }
@@ -84,15 +100,18 @@ RunCount
 count_run(System &sys)
 {
     g_allocs = 0;
+    g_bytes = 0;
     g_counting = true;
     sys.run();
     g_counting = false;
     RunCount c;
     c.allocs = g_allocs;
+    c.bytes = g_bytes;
     c.events = sys.sim().events().dispatched();
-    std::printf("run: %llu allocations over %llu events = %.4f/event\n",
-                (unsigned long long)c.allocs, (unsigned long long)c.events,
-                c.per_event());
+    std::printf("run: %llu allocations (%llu B) over %llu events = "
+                "%.4f/event\n",
+                (unsigned long long)c.allocs, (unsigned long long)c.bytes,
+                (unsigned long long)c.events, c.per_event());
     return c;
 }
 
@@ -125,15 +144,18 @@ TEST(AllocBudget, PaperFleetSession)
     // the end of run() is a visible share; the bound covers several.
     const DevicePopulation pop = DevicePopulation::paper_fleet(1);
     RunCount total;
-    for (std::uint64_t i = 0; i < 8; ++i) {
+    constexpr std::uint64_t kSessions = 8;
+    for (std::uint64_t i = 0; i < kSessions; ++i) {
         Experiment e = pop.experiment(i);
         RenderSystem sys(e.config, std::move(e.scenario));
         const RunCount c = count_run(sys);
         total.allocs += c.allocs;
+        total.bytes += c.bytes;
         total.events += c.events;
     }
     ASSERT_GT(total.events, 1000u);
     EXPECT_LE(total.per_event(), kFleetMaxPerEvent);
+    EXPECT_LE(total.bytes / kSessions, kFleetMaxBytes);
 }
 
 TEST(AllocBudget, Fig11DvsyncAppSession)
@@ -154,6 +176,7 @@ TEST(AllocBudget, Fig11DvsyncAppSession)
     const RunCount c = count_run(sys);
     ASSERT_GT(c.events, 1000u);
     EXPECT_LE(c.per_event(), kAppMaxPerEvent);
+    EXPECT_LE(c.bytes, kAppMaxBytes);
 }
 
 TEST(AllocBudget, SharedGpuMultiSurfaceSession)
@@ -189,4 +212,5 @@ TEST(AllocBudget, SharedGpuMultiSurfaceSession)
     const RunCount c = count_run(sys);
     ASSERT_GT(c.events, 1000u);
     EXPECT_LE(c.per_event(), kMultiSurfaceMaxPerEvent);
+    EXPECT_LE(c.bytes, kMultiSurfaceMaxBytes);
 }

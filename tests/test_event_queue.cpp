@@ -184,9 +184,9 @@ TEST(EventQueue, StaleHandleCannotCancelRecycledSlot)
 {
     EventQueue q;
     int fired = 0;
-    // Cancel a, then schedule b: with slot recycling b likely reuses a's
-    // storage. The stale handle must be rejected by the generation
-    // check, not cancel b.
+    // Cancel a, then schedule b: with slot recycling b reuses a's
+    // callback storage. The stale handle must be rejected (ids are
+    // never reused), not cancel b.
     EventId a = q.schedule(10, [] {});
     EXPECT_TRUE(q.cancel(a));
     q.schedule(20, [&] { ++fired; });
@@ -221,8 +221,8 @@ TEST(EventQueue, NextEventTimeNoneAfterCancellingEverything)
 
 TEST(EventQueue, CancelHeavyChurnStaysBoundedAndConsistent)
 {
-    // High schedule/cancel churn: slots recycle, dead heap entries are
-    // pruned or compacted away, and bookkeeping stays exact throughout.
+    // High schedule/cancel churn: slots recycle, cancelled entries are
+    // erased, and bookkeeping stays exact throughout.
     EventQueue q;
     std::uint64_t fired = 0;
     std::vector<EventId> window;
@@ -266,9 +266,9 @@ TEST(EventQueue, DispatchOrderMatchesStableSortModel)
     // pseudo-random workload in exactly (time, priority,
     // insertion-sequence) order — the same order a stable sort of the
     // surviving schedule calls produces. Ascending far-future batches
-    // (a scenario's up-front segment timeline) land in the sorted run,
-    // random near-term schedules in the heap. Cancels hit both, the
-    // run's front included, and are numerous enough to compact both.
+    // (a scenario's up-front segment timeline) land in the far run,
+    // random near-term schedules in the near run. Cancels hit both,
+    // fronts included.
     struct Scheduled {
         Time when;
         int prio;
@@ -290,11 +290,8 @@ TEST(EventQueue, DispatchOrderMatchesStableSortModel)
     const auto cancel = [&](Scheduled &s) {
         EXPECT_TRUE(q.cancel(s.id));
         s.cancelled = true;
-        // Compaction keeps dead entries at most as many as the live
-        // ones (or at most 64) across both containers, and the run's
-        // consumed prefix is never longer than the rest of the run.
-        EXPECT_LE(q.stored_entries(),
-                  2 * std::max(2 * q.pending(), q.pending() + 64));
+        // A cancelled entry is erased at once; nothing dead is stored.
+        EXPECT_EQ(q.stored_entries(), q.pending());
     };
 
     Time batch_at = 1000;
@@ -310,7 +307,7 @@ TEST(EventQueue, DispatchOrderMatchesStableSortModel)
         }
     }
 
-    // The first schedule went to the empty run, so it is the run's front;
+    // The first schedule went to the empty far run, so it is its front;
     // the first batch entry is the front of the far-future timeline.
     cancel(model[0]);
     cancel(model[1]);
@@ -341,8 +338,8 @@ TEST(EventQueue, DispatchOrderMatchesStableSortModel)
 TEST(EventQueue, InterleavedSchedulingMatchesReferenceOrder)
 {
     // Events scheduled and cancelled from callbacks: each fired event
-    // schedules near-term work (which lands in the heap), sometimes
-    // appends an ascending far-future batch (the run) and sometimes
+    // schedules near-term work (which lands in the near run), sometimes
+    // appends an ascending far-future batch (the far run) and sometimes
     // cancels an earlier event. Dispatch order and next_event_time()
     // must match an ordered-set reference of (when, prio, seq) keys.
     using Key = std::tuple<Time, int, std::uint64_t>;
@@ -424,28 +421,51 @@ TEST(EventQueue, InterleavedChainsKeepRunStorageBounded)
     EXPECT_EQ(q.stored_entries(), 0u);
 }
 
-TEST(EventQueue, CompactionFiltersCancelledRunEntries)
+TEST(EventQueue, CancelErasesEntriesBehindTheRunFront)
 {
-    // An ascending timeline lands in the sorted run. Cancelling most of
-    // it (never the front, so nothing is pruned) must trigger compaction
-    // of the run, not only of the heap.
+    // An ascending timeline lands in the far run. Cancelling most of it
+    // (never the front) must free their storage at once, and the
+    // survivors still dispatch in order.
     EventQueue q;
     std::vector<EventId> ids;
-    for (int i = 0; i < 1000; ++i)
-        ids.push_back(q.schedule(Time(10 + i), [] {}));
-    for (std::size_t i = 1; i + 10 < ids.size(); ++i)
+    std::vector<Time> fired;
+    for (int i = 0; i < 1000; ++i) {
+        ids.push_back(
+            q.schedule(Time(10 + i), [&] { fired.push_back(q.now()); }));
+    }
+    for (std::size_t i = 1; i + 10 < ids.size(); ++i) {
         EXPECT_TRUE(q.cancel(ids[i]));
+        EXPECT_EQ(q.stored_entries(), q.pending());
+    }
     EXPECT_EQ(q.pending(), 11u);
-    EXPECT_LE(q.stored_entries(), q.pending() + 64);
     EXPECT_EQ(q.run(), 11u);
     EXPECT_EQ(q.now(), 10 + 999);
+    std::vector<Time> expected{10};
+    for (Time i = 990; i < 1000; ++i)
+        expected.push_back(10 + i);
+    EXPECT_EQ(fired, expected);
+}
+
+TEST(EventQueue, CancelLeavesOnlyPendingEntriesStored)
+{
+    // Dispatch leaves a consumed prefix in the far run; a cancel that
+    // hits the near run must drop it too, so storage equals pending.
+    EventQueue q;
+    for (const Time t : {10, 20, 30, 40})
+        q.schedule(t, [] {});
+    q.run_until(10);
+    const EventId near = q.schedule(15, [] {});
+    EXPECT_GT(q.stored_entries(), q.pending());
+    EXPECT_TRUE(q.cancel(near));
+    EXPECT_EQ(q.pending(), 3u);
+    EXPECT_EQ(q.stored_entries(), q.pending());
 }
 
 TEST(EventQueue, NextEventTimeSkipsCancelledRunFront)
 {
     EventQueue q;
-    // Ascending schedules append to the sorted run; 25 orders before the
-    // run's last entry (30), so it goes to the heap.
+    // Ascending schedules append to the far run; 25 orders before its
+    // last entry (30), so it goes to the near run.
     const EventId a = q.schedule(10, [] {});
     const EventId b = q.schedule(20, [] {});
     q.schedule(30, [] {});
@@ -459,6 +479,120 @@ TEST(EventQueue, NextEventTimeSkipsCancelledRunFront)
     EXPECT_EQ(q.next_event_time(), 30);
     EXPECT_EQ(q.run(), 1u);
     EXPECT_EQ(q.now(), 30);
+}
+
+TEST(EventQueue, ManyNearTermEventsMatchReferenceOrder)
+{
+    // Bursts of 80 near-term events keep well over 64 of them pending at
+    // once, most landing by insertion into the near run; ascending
+    // far-future batches append to the far run; callbacks cancel earlier
+    // events. Dispatch order and next_event_time() must match an
+    // ordered-set reference of (when, prio, seq) keys, and a cancel must
+    // leave nothing dead in storage.
+    using Key = std::tuple<Time, int, std::uint64_t, bool /*near*/>;
+    EventQueue q;
+    std::set<Key> model;
+    std::vector<std::pair<EventId, Key>> issued;
+    std::uint64_t rng = 0xd1b54a32d192ed03ULL;
+    std::uint64_t order_errors = 0, next_time_errors = 0,
+                  storage_errors = 0;
+    std::size_t near_pending = 0, max_near_pending = 0;
+    Time far_at = 0;
+
+    std::function<void(Time, EventPriority, bool)> add;
+    const auto forget = [&](const Key &key) {
+        model.erase(key);
+        if (std::get<3>(key))
+            --near_pending;
+    };
+    const auto on_fire = [&](const Key &key) {
+        if (model.empty() || *model.begin() != key)
+            ++order_errors;
+        forget(key);
+        if (issued.size() < 60'000) {
+            const std::uint64_t r = xorshift(rng);
+            const int near = r % 16 == 0 ? 80 : 1;
+            for (int k = 0; k < near; ++k) {
+                const std::uint64_t b = xorshift(rng);
+                add(q.now() + Time(b % 2000), kAllPrios[(b >> 32) % 5],
+                    true);
+            }
+            if (r % 61 == 0) {
+                far_at = std::max(far_at, q.now() + 5000);
+                for (int k = 0; k < 20; ++k) {
+                    const std::uint64_t b = xorshift(rng);
+                    far_at += 1 + Time(b % 40);
+                    add(far_at, kAllPrios[(b >> 32) % 5], false);
+                }
+            }
+            if (r % 3 == 0) {
+                const auto &[id, victim] =
+                    issued[std::size_t(xorshift(rng) % issued.size())];
+                if (q.cancel(id)) {
+                    forget(victim);
+                    if (q.stored_entries() != q.pending())
+                        ++storage_errors;
+                }
+            }
+        }
+        const Time expect_next =
+            model.empty() ? kTimeNone : std::get<0>(*model.begin());
+        if (q.next_event_time() != expect_next)
+            ++next_time_errors;
+    };
+    std::uint64_t seq = 0;
+    add = [&](Time when, EventPriority prio, bool near) {
+        const Key key{when, int(prio), seq++, near};
+        const EventId id =
+            q.schedule(when, [&on_fire, key] { on_fire(key); }, prio);
+        model.insert(key);
+        issued.emplace_back(id, key);
+        if (near)
+            max_near_pending = std::max(max_near_pending, ++near_pending);
+    };
+    for (int i = 0; i < 16; ++i)
+        add(Time(i), kAllPrios[i % 5], true);
+    q.run();
+    EXPECT_EQ(order_errors, 0u);
+    EXPECT_EQ(next_time_errors, 0u);
+    EXPECT_EQ(storage_errors, 0u);
+    EXPECT_GE(max_near_pending, 64u);
+    EXPECT_TRUE(model.empty());
+    EXPECT_TRUE(q.empty());
+    EXPECT_EQ(q.stored_entries(), 0u);
+    EXPECT_GE(issued.size(), 60'000u);
+}
+
+TEST(EventQueue, EventIdsAreNonzeroAndNeverReused)
+{
+    // Callback slots recycle, ids do not: every handle is distinct and
+    // nonzero (callers keep 0 as "no event"), and a handle whose event
+    // fired or was cancelled cancels nothing afterwards.
+    EventQueue q;
+    std::set<EventId> seen;
+    for (int round = 0; round < 100; ++round) {
+        std::vector<EventId> ids;
+        for (int i = 0; i < 8; ++i) {
+            const EventId id = q.schedule(q.now() + Time(i), [] {});
+            EXPECT_NE(id, 0u);
+            EXPECT_TRUE(seen.insert(id).second) << "id reused: " << id;
+            ids.push_back(id);
+        }
+        EXPECT_TRUE(q.cancel(ids[std::size_t(round % 8)]));
+        q.run();
+        for (const EventId id : ids)
+            EXPECT_FALSE(q.cancel(id));
+    }
+    EXPECT_EQ(q.dispatched(), 700u);
+}
+
+TEST(EventQueueDeathTest, SchedulingInThePastPanics)
+{
+    // Checked in every build type: the event would dispatch out of order.
+    EventQueue q;
+    q.schedule(100, [] {});
+    q.run();
+    EXPECT_DEATH(q.schedule(99, [] {}), "in the past");
 }
 
 TEST(EventQueue, ManyEventsStressOrdering)

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <memory>
 #include <vector>
 
@@ -17,6 +18,7 @@
 #include "metrics/reporter.h"
 #include "metrics/stutter_model.h"
 #include "sim/random.h"
+#include "workload/app_profiles.h"
 #include "workload/frame_cost.h"
 
 using namespace dvs;
@@ -372,4 +374,49 @@ TEST(FrameStats, DueCursorMatchesFullScan)
     // The sessions exercise both outcomes of the rule.
     EXPECT_GT(due, 100u);
     EXPECT_GT(repeats - due, 100u);
+}
+
+TEST(FrameStats, LogsAreSizedOnceFromTheRunHorizon)
+{
+    // Refreshes from 0 through the horizon (61 in 1 s at 60 Hz) and the
+    // slots of the frame-producing segments (60 + 30), each rounded up
+    // to a power of two; capped for an implausible rate or horizon, and
+    // 1 for a NaN rate.
+    constexpr std::size_t kCap = std::size_t(1) << 16;
+    auto cost = std::make_shared<SeededCostModel>(3);
+    Scenario sc("sized");
+    sc.animate(1'000'000'000, cost).idle(500'000'000).animate(500'000'000,
+                                                             cost);
+    const LogCapacity c = log_capacity(sc, 1'000'000'000, 60.0);
+    EXPECT_EQ(c.refreshes, 64u);
+    EXPECT_EQ(c.frames, 128u);
+    EXPECT_EQ(log_capacity(sc, 1'000'000'000, 1e12).refreshes, kCap);
+    EXPECT_EQ(log_capacity(sc, 1'000'000'000, 1e12).frames, kCap);
+    EXPECT_EQ(log_capacity(sc, Time(1) << 62, 60.0).refreshes, kCap);
+    EXPECT_EQ(log_capacity(sc, 1'000'000'000, std::nan("")).refreshes, 1u);
+
+    // A RenderSystem sizes its logs when built, so run() never regrows
+    // them, and on a Fig. 11 swipe session (48 swipes, idle between)
+    // they end at the capacity growth by doubling would have reached.
+    const ProfileSpec &app = pixel5_app_profiles().front();
+    for (RenderMode mode : {RenderMode::kDvsync, RenderMode::kVsync}) {
+        SystemConfig cfg;
+        cfg.mode = mode;
+        RenderSystem sys(
+            cfg, make_swipe_scenario(
+                     app.name, 48, 500'000'000,
+                     make_cost_model(app, cfg.device.refresh_hz, 7), 0.7));
+        const std::size_t refreshes = sys.stats().refreshes().capacity();
+        const std::size_t shown = sys.stats().shown().capacity();
+        const std::size_t records = sys.producer().records().capacity();
+        sys.run();
+        const FrameStats &st = sys.stats();
+        const Producer &p = sys.producer();
+        EXPECT_EQ(st.refreshes().capacity(), refreshes);
+        EXPECT_EQ(st.shown().capacity(), shown);
+        EXPECT_EQ(p.records().capacity(), records);
+        EXPECT_EQ(refreshes, std::bit_ceil(st.refreshes().size()));
+        EXPECT_EQ(shown, std::bit_ceil(st.shown().size()));
+        EXPECT_EQ(records, std::bit_ceil(p.records().size()));
+    }
 }
